@@ -133,6 +133,7 @@ object SparseMatrix {
   /** Build from COO triples; duplicate (i,j) entries are summed. */
   def fromCoo(rows: Int, cols: Int, entries: Seq[(Int, Int, Double)]): SparseMatrix = {
     val byRow = entries.groupBy(_._1)
+    byRow.keys.foreach(i => require(i >= 0 && i < rows, s"row $i out of range [0,$rows)"))
     val rowPtr = new Array[Int](rows + 1)
     var i = 0
     while (i < rows) {

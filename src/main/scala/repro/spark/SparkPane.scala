@@ -20,11 +20,13 @@ import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
   *    parallelism; per-partition RandSVD of F'[Vi], small merge SVD on the
   *    driver, per-row initialization of Xf, Xb, Sf, Sb on executors.
   *  - **PSVDCCD** (Alg 8): the X phase is a per-row map (exactly
-  *    [[SvdCcd.nodeRowUpdate]]); the Y phase is replayed *exactly* on the
-  *    driver from aggregated small matrices Gf = XfᵀSf, Gb = XbᵀSb,
-  *    Hf = XfᵀXf, Hb = XbᵀXb — see DESIGN.md §2 for the derivation — and
-  *    the resulting ΔY is pushed back as a residual patch
-  *    Sf ← Sf − Xf·ΔYᵀ at the start of the next map.
+  *    [[SvdCcd.nodeRowUpdate]]); the Y phase is the Gramian replay of
+  *    [[SvdCcd.attrSweep]] split across the cluster: executors aggregate
+  *    Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf, Hb = XbᵀXb
+  *    ([[SvdCcd.attrGramRow]]), the driver replays the coordinate updates
+  *    ([[SvdCcd.attrReplay]], DESIGN.md §2), and the resulting ΔY is pushed
+  *    back as the residual patch Sf ← Sf − Xf·ΔYᵀ
+  *    ([[SvdCcd.attrRowPatch]]) at the start of the next map.
   *
   * The result matches the thread-pool ParallelPane up to floating-point
   * summation order (tested).
@@ -246,71 +248,30 @@ object SparkPane extends Serializable {
 
     // ---- PSVDCCD iterations --------------------------------------------
     var y = y0
-    var pendingDelta: DenseMatrix = null
+    var pendingDelta = Array.empty[Double]
     val iters = cfg.refineIters
     var it = 0
     while (it < iters) {
       val bcY = sc.broadcast(y)
-      val bcDelta = sc.broadcast(if (pendingDelta == null) Array.empty[Double] else pendingDelta.data)
+      val bcDelta = sc.broadcast(pendingDelta)
       val prev = state
       state = prev.mapPartitions { rows =>
         val yv = bcY.value
         val deltaData = bcDelta.value
         val yColNorm = SvdCcd.yColNorms(yv)
         rows.map { row =>
-          if (deltaData.nonEmpty) {
-            // Patch residuals for the Y move of the previous iteration:
-            // Sf ← Sf − Xf·ΔYᵀ (Δ[j,l] = μ_y(r_j, l); Y_new = Y_old − Δ).
-            var j = 0
-            while (j < d) {
-              var accF = 0.0
-              var accB = 0.0
-              var l = 0
-              while (l < half) {
-                val dv = deltaData(j * half + l)
-                accF += row.xf(l) * dv
-                accB += row.xb(l) * dv
-                l += 1
-              }
-              row.sf(j) -= accF
-              row.sb(j) -= accB
-              j += 1
-            }
-          }
+          // Patch residuals for the Y move of the previous iteration.
+          if (deltaData.nonEmpty)
+            SvdCcd.attrRowPatch(row.xf, row.xb, 0, row.sf, row.sb, 0, deltaData, half, d)
           SvdCcd.nodeRowUpdate(row.xf, row.xb, row.sf, row.sb, yv, yColNorm)
           row
         }
       }.persist(StorageLevel.MEMORY_AND_DISK)
 
-      // Aggregate Gf|Gb (half×d) and Hf|Hb (half×half) in one flat array.
-      val gSize = half * d
-      val hSize = half * half
+      // Aggregate Gf, Gb, Hf, Hb over all rows in one flat array.
       val agg = state.mapPartitions { rows =>
-        val acc = new Array[Double](2 * gSize + 2 * hSize)
-        rows.foreach { r =>
-          var l = 0
-          while (l < half) {
-            val xfl = r.xf(l)
-            val xbl = r.xb(l)
-            val gfOff = l * d
-            val gbOff = gSize + l * d
-            var j = 0
-            while (j < d) {
-              acc(gfOff + j) += xfl * r.sf(j)
-              acc(gbOff + j) += xbl * r.sb(j)
-              j += 1
-            }
-            val hfOff = 2 * gSize + l * half
-            val hbOff = 2 * gSize + hSize + l * half
-            var l2 = 0
-            while (l2 < half) {
-              acc(hfOff + l2) += xfl * r.xf(l2)
-              acc(hbOff + l2) += xbl * r.xb(l2)
-              l2 += 1
-            }
-            l += 1
-          }
-        }
+        val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
+        rows.foreach(r => SvdCcd.attrGramRow(r.xf, r.xb, 0, r.sf, r.sb, 0, half, d, acc))
         Iterator.single(acc)
       }.reduce { (a, b) =>
         var i = 0
@@ -319,36 +280,11 @@ object SparkPane extends Serializable {
       }
       prev.unpersist()
 
-      // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14).
-      val gf = java.util.Arrays.copyOfRange(agg, 0, gSize)
-      val gb = java.util.Arrays.copyOfRange(agg, gSize, 2 * gSize)
-      val hf = new DenseMatrix(half, half, java.util.Arrays.copyOfRange(agg, 2 * gSize, 2 * gSize + hSize))
-      val hb = new DenseMatrix(half, half, java.util.Arrays.copyOfRange(agg, 2 * gSize + hSize, agg.length))
+      // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14),
+      // the same kernel SvdCcd.attrSweep runs on a column range.
       val newY = y.copy
-      val delta = DenseMatrix.zeros(d, half)
-      var rj = 0
-      while (rj < d) {
-        var l = 0
-        while (l < half) {
-          val denom = hf(l, l) + hb(l, l)
-          if (denom > 1e-300) {
-            val mu = (gf(l * d + rj) + gb(l * d + rj)) / denom
-            newY(rj, l) = newY(rj, l) - mu
-            delta(rj, l) = mu
-            // Patch Gf/Gb for the residual move on column rj.
-            var l2 = 0
-            while (l2 < half) {
-              gf(l2 * d + rj) -= mu * hf(l2, l)
-              gb(l2 * d + rj) -= mu * hb(l2, l)
-              l2 += 1
-            }
-          }
-          l += 1
-        }
-        rj += 1
-      }
+      pendingDelta = SvdCcd.attrReplay(newY, agg, 0, d)
       y = newY
-      pendingDelta = delta
       it += 1
     }
 

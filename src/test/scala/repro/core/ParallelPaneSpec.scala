@@ -74,8 +74,8 @@ class ParallelPaneSpec extends AnyFunSuite {
     val init2 = SvdCcd.State(init1.xf.copy, init1.xb.copy, init1.y.copy, init1.sf.copy, init1.sb.copy)
     val single = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 3, init = init1)
     val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 3, nb = 1, init = init2)
-    assert((single.xf - parallel.xf).maxAbs < 1e-12)
-    assert((single.y - parallel.y).maxAbs < 1e-12)
+    assert((single.xf - parallel.xf).maxAbs == 0.0)
+    assert((single.y - parallel.y).maxAbs == 0.0)
   }
 
   test("multi-thread PSVDCCD with shared init equals sequential exactly (phase independence)") {
@@ -86,9 +86,9 @@ class ParallelPaneSpec extends AnyFunSuite {
     val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 2, nb = 4, init = init2)
     // X phase updates disjoint rows, Y phase disjoint columns → identical
     // results regardless of the thread count.
-    assert((single.xf - parallel.xf).maxAbs < 1e-12)
-    assert((single.xb - parallel.xb).maxAbs < 1e-12)
-    assert((single.y - parallel.y).maxAbs < 1e-12)
+    assert((single.xf - parallel.xf).maxAbs == 0.0)
+    assert((single.xb - parallel.xb).maxAbs == 0.0)
+    assert((single.y - parallel.y).maxAbs == 0.0)
   }
 
   test("end-to-end parallel embed quality matches single-thread (§5: small utility loss)") {

@@ -119,8 +119,47 @@ class SvdCcdSpec extends AnyFunSuite {
     // run blocks in the opposite order — must not matter
     SvdCcd.attrSweep(st2, mid, aff.fPrime.cols)
     SvdCcd.attrSweep(st2, 0, mid)
-    assert((st1.y - st2.y).maxAbs < 1e-12)
-    assert((st1.sf - st2.sf).maxAbs < 1e-12)
+    assert((st1.y - st2.y).maxAbs == 0.0)
+    assert((st1.sf - st2.sf).maxAbs == 0.0)
+    assert((st1.sb - st2.sb).maxAbs == 0.0)
+  }
+
+  test("Gramian-replay attrSweep matches the column-strided Y-phase over 6 sweeps on mid") {
+    val affMid = Apmi.run(Fixtures.mid, alpha = 0.5, t = 5)
+    val (n, d) = (affMid.fPrime.rows, affMid.fPrime.cols)
+    val st1 = SvdCcd.greedyInit(affMid.fPrime, affMid.bPrime, 16, svdIters = 3)
+    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+    for (_ <- 1 to 6) {
+      SvdCcd.nodeSweep(st1, 0, n)
+      SvdCcd.attrSweep(st1, 0, d)
+      SvdCcd.nodeSweep(st2, 0, n)
+      columnStridedAttrSweep(st2)
+    }
+    def rel(a: DenseMatrix, oracle: DenseMatrix): Double = (a - oracle).maxAbs / oracle.maxAbs
+    assert(rel(st1.y, st2.y) <= 1e-13, s"Y rel diff ${rel(st1.y, st2.y)}")
+    assert(rel(st1.sf, st2.sf) <= 1e-13, s"Sf rel diff ${rel(st1.sf, st2.sf)}")
+    assert(rel(st1.sb, st2.sb) <= 1e-13, s"Sb rel diff ${rel(st1.sb, st2.sb)}")
+  }
+
+  test("attrReplay reproduces the former SparkPane driver loop bit for bit") {
+    val (half, d) = (6, 11)
+    val x = DenseMatrix.randn(30, half, 21L)
+    val xb = DenseMatrix.randn(30, half, 22L)
+    val hf = x.tMul(x)
+    val hb = xb.tMul(xb)
+    val gf = DenseMatrix.randn(half, d, 23L).data
+    val gb = DenseMatrix.randn(half, d, 24L).data
+    val y = DenseMatrix.randn(d, half, 25L)
+    val acc = gf ++ gb ++ hf.data ++ hb.data
+    assert(acc.length == SvdCcd.attrGramSize(half, d))
+    val y1 = y.copy
+    val delta1 = SvdCcd.attrReplay(y1, acc, 0, d)
+    val (gf2, gb2) = (gf.clone, gb.clone)
+    val (y2, delta2) = formerSparkReplay(y, gf2, gb2, hf, hb)
+    assert(java.util.Arrays.equals(y1.data, y2.data))
+    assert(java.util.Arrays.equals(delta1, delta2.data))
+    assert(java.util.Arrays.equals(acc.take(half * d), gf2))
+    assert(java.util.Arrays.equals(acc.slice(half * d, 2 * half * d), gb2))
   }
 
   test("yColNorms matches direct computation") {
@@ -147,6 +186,60 @@ class SvdCcdSpec extends AnyFunSuite {
     val rb = e.xb.mulT(e.y) - aff.bPrime
     val manual = rf.data.map(x => x * x).sum + rb.data.map(x => x * x).sum
     assert(math.abs(o - manual) < 1e-6 * math.max(1.0, manual))
+  }
+
+  /** The Y-phase as first written: column-strided over row-major Sf/Sb. */
+  private def columnStridedAttrSweep(st: SvdCcd.State): Unit = {
+    val half = st.y.cols
+    val n = st.xf.rows
+    val d = st.y.rows
+    val xColNorm = Array.tabulate(half) { l =>
+      var s = 0.0
+      for (i <- 0 until n) { val a = st.xf(i, l); val b = st.xb(i, l); s += a * a + b * b }
+      s
+    }
+    for (j <- 0 until d; l <- 0 until half if xColNorm(l) > 1e-300) {
+      var num = 0.0
+      for (i <- 0 until n) num += st.xf(i, l) * st.sf.data(i * d + j) + st.xb(i, l) * st.sb.data(i * d + j)
+      val mu = num / xColNorm(l)
+      st.y(j, l) = st.y(j, l) - mu
+      for (i <- 0 until n) {
+        st.sf.data(i * d + j) -= mu * st.xf(i, l)
+        st.sb.data(i * d + j) -= mu * st.xb(i, l)
+      }
+    }
+  }
+
+  /** The driver loop SparkPane ran before it called SvdCcd.attrReplay;
+    * mutates gf and gb in place.
+    */
+  private def formerSparkReplay(y: DenseMatrix, gf: Array[Double], gb: Array[Double],
+                                hf: DenseMatrix, hb: DenseMatrix): (DenseMatrix, DenseMatrix) = {
+    val half = y.cols
+    val d = y.rows
+    val newY = y.copy
+    val delta = DenseMatrix.zeros(d, half)
+    var rj = 0
+    while (rj < d) {
+      var l = 0
+      while (l < half) {
+        val denom = hf(l, l) + hb(l, l)
+        if (denom > 1e-300) {
+          val mu = (gf(l * d + rj) + gb(l * d + rj)) / denom
+          newY(rj, l) = newY(rj, l) - mu
+          delta(rj, l) = mu
+          var l2 = 0
+          while (l2 < half) {
+            gf(l2 * d + rj) -= mu * hf(l2, l)
+            gb(l2 * d + rj) -= mu * hb(l2, l)
+            l2 += 1
+          }
+        }
+        l += 1
+      }
+      rj += 1
+    }
+    (newY, delta)
   }
 
   private def objectiveOf(st: SvdCcd.State): Double =

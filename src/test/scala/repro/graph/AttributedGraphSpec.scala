@@ -24,6 +24,17 @@ class AttributedGraphSpec extends AnyFunSuite {
     assert(a.outDegree.toSeq == Seq(1, 1, 0))
   }
 
+  test("out-of-range node ids fail loudly instead of being dropped") {
+    def graph(src: Int, attrNode: Int) = AttributedGraph(3, 1,
+      src = Array(src), dst = Array(1),
+      attrNode = Array(attrNode), attrId = Array(0), attrW = Array(1.0),
+      labels = Array.fill(3)(Array(0)), directed = true)
+    val badEdge = intercept[IllegalArgumentException](graph(src = 7, attrNode = 0).walkMatrix)
+    assert(badEdge.getMessage.contains("row 7 out of range [0,3)"))
+    val badAttr = intercept[IllegalArgumentException](graph(src = 0, attrNode = 9).attrMatrix)
+    assert(badAttr.getMessage.contains("row 9 out of range [0,3)"))
+  }
+
   test("walkMatrix rows are stochastic") {
     val rs = g.walkMatrix.rowSums
     rs.foreach(s => assert(math.abs(s - 1.0) < 1e-12))

@@ -26,6 +26,11 @@ class SparseMatrixSpec extends AnyFunSuite with PropSupport {
     assertThrows[IllegalArgumentException](SparseMatrix.fromCoo(2, 2, Seq((0, 5, 1.0))))
   }
 
+  test("fromCoo rejects out-of-range rows") {
+    assertThrows[IllegalArgumentException](SparseMatrix.fromCoo(2, 2, Seq((5, 0, 1.0))))
+    assertThrows[IllegalArgumentException](SparseMatrix.fromCoo(2, 2, Seq((-1, 0, 1.0))))
+  }
+
   test("toDense round trips through fromCoo (property)") {
     forSeeds(25) { seed =>
       val (r, c, entries) = randomCoo(seed)
