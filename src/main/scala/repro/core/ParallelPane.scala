@@ -139,25 +139,18 @@ object ParallelPane {
       i += 1
     }
     // Per-block init of Xf, Xb, Sf, Sb (Alg 7 Lines 7-11).
-    val xf = DenseMatrix.zeros(n, half)
-    val xb = DenseMatrix.zeros(n, half)
-    val sf = DenseMatrix.zeros(n, d)
-    val sb = DenseMatrix.zeros(n, d)
+    val st = SvdCcd.State(DenseMatrix.zeros(n, half), DenseMatrix.zeros(n, half), y,
+      DenseMatrix.zeros(n, d), DenseMatrix.zeros(n, d))
     runAll(nb, nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
       () => {
-        val wBlock = w.rowSlice(bi * half, (bi + 1) * half)
-        val xfB = us(bi) * wBlock
-        val bBlock = b.rowSlice(from, until)
-        val xbB = bBlock * y
-        val sfB = xfB.mulT(y) - f.rowSlice(from, until)
-        val sbB = xbB.mulT(y) - bBlock
-        System.arraycopy(xfB.data, 0, xf.data, from * half, xfB.data.length)
-        System.arraycopy(xbB.data, 0, xb.data, from * half, xbB.data.length)
-        System.arraycopy(sfB.data, 0, sf.data, from * d, sfB.data.length)
-        System.arraycopy(sbB.data, 0, sb.data, from * d, sbB.data.length)
+        val xfB = us(bi) * w.rowSlice(bi * half, (bi + 1) * half)
+        val xbB = b.rowSlice(from, until) * y
+        System.arraycopy(xfB.data, 0, st.xf.data, from * half, xfB.data.length)
+        System.arraycopy(xbB.data, 0, st.xb.data, from * half, xbB.data.length)
+        SvdCcd.residualRows(st, f, b, from, until)
       }
     })
-    SvdCcd.State(xf, xb, y, sf, sb)
+    st
   }
 
   /** Algorithm 8 — PSVDCCD: parallel CCD refinement. */

@@ -24,6 +24,34 @@ final case class AttributedGraph(
   require(src.length == dst.length, "src/dst length mismatch")
   require(attrNode.length == attrId.length && attrId.length == attrW.length,
     "attribute triple arrays length mismatch")
+  require(n >= 0 && d >= 0, s"negative graph size: n = $n, d = $d")
+  checkEntries()
+
+  /** One pass over the edge and attribute arrays: ids in range, weights
+    * finite. Explicit checks, not `require`, whose by-name message would
+    * allocate a closure per entry.
+    */
+  private def checkEntries(): Unit = {
+    def bad(msg: String): Nothing = throw new IllegalArgumentException(msg)
+    var i = 0
+    while (i < src.length) {
+      val s = src(i)
+      val t = dst(i)
+      if (s < 0 || s >= n) bad(s"edge $i: src $s out of range [0,$n)")
+      if (t < 0 || t >= n) bad(s"edge $i: dst $t out of range [0,$n)")
+      i += 1
+    }
+    i = 0
+    while (i < attrNode.length) {
+      val v = attrNode(i)
+      val r = attrId(i)
+      val w = attrW(i)
+      if (v < 0 || v >= n) bad(s"attribute entry $i: node $v out of range [0,$n)")
+      if (r < 0 || r >= d) bad(s"attribute entry $i: attribute $r out of range [0,$d)")
+      if (!java.lang.Double.isFinite(w)) bad(s"attribute entry $i: weight $w is not finite")
+      i += 1
+    }
+  }
 
   /** Number of directed edges m (an undirected input stores both directions). */
   def m: Int = src.length

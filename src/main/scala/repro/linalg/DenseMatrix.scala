@@ -200,8 +200,22 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
 }
 
 object DenseMatrix {
+  /** Largest array length every mainstream JVM accepts. */
+  private val MaxArrayLength = Int.MaxValue - 8
+
+  /** rows·cols as an array length; fails before allocating when the product
+    * is negative or exceeds what a JVM array can hold, giving the footprint.
+    */
+  private def checkedLength(rows: Int, cols: Int): Int = {
+    val len = rows.toLong * cols
+    require(rows >= 0 && cols >= 0 && len <= MaxArrayLength,
+      f"cannot allocate a $rows x $cols dense matrix (${len * 8.0 / (1 << 20)}%.0f MiB): " +
+        s"dimensions must be >= 0 and rows * cols <= $MaxArrayLength")
+    len.toInt
+  }
+
   def zeros(rows: Int, cols: Int): DenseMatrix =
-    new DenseMatrix(rows, cols, new Array[Double](rows * cols))
+    new DenseMatrix(rows, cols, new Array[Double](checkedLength(rows, cols)))
 
   def eye(n: Int): DenseMatrix = {
     val m = zeros(n, n)
@@ -213,7 +227,7 @@ object DenseMatrix {
   /** Standard-normal entries, deterministic in `seed`. */
   def randn(rows: Int, cols: Int, seed: Long): DenseMatrix = {
     val rnd = new Random(seed)
-    val d = new Array[Double](rows * cols)
+    val d = new Array[Double](checkedLength(rows, cols))
     var i = 0
     while (i < d.length) { d(i) = rnd.nextGaussian(); i += 1 }
     new DenseMatrix(rows, cols, d)

@@ -3,10 +3,12 @@ package repro.linalg
 /** Randomized truncated SVD via subspace (power) iteration.
   *
   * The paper's GreedyInit calls RandSVD [Musco–Musco NeurIPS'15]; we
-  * substitute randomized subspace iteration with Householder QR
-  * re-orthonormalization, which offers the same contract — a near-optimal
-  * rank-k approximation whose accuracy improves with the iteration count
-  * `iters` and is exact in the iters→∞ limit (what Lemma 4.2 relies on).
+  * substitute randomized subspace iteration (Halko, Martinsson & Tropp
+  * 2011), re-orthonormalizing the sketch after every product with
+  * CholeskyQR2 and a Householder fallback ([[Qr.orthonormal]]). It offers
+  * the same contract — a near-optimal rank-k approximation whose accuracy
+  * improves with the iteration count `iters` and is exact in the iters→∞
+  * limit (what Lemma 4.2 relies on).
   *
   * Works over any [[LinOp]], so NRP can factorize its truncated-PPR
   * proximity without ever materializing the n×n matrix.
@@ -32,11 +34,11 @@ object RandSvd {
     val s = math.min(math.min(a.rows, a.cols), k + oversample)
     require(s >= k, s"rank $k exceeds matrix dims ${a.rows} x ${a.cols}")
     val g = DenseMatrix.randn(a.cols, s, seed)
-    var q = Qr.thinQ(a.applyTo(g))
+    var q = Qr.orthonormal(a.applyTo(g))
     var it = 0
     while (it < iters) {
-      val z = Qr.thinQ(a.applyTransposeTo(q))
-      q = Qr.thinQ(a.applyTo(z))
+      val z = Qr.orthonormal(a.applyTransposeTo(q))
+      q = Qr.orthonormal(a.applyTo(z))
       it += 1
     }
     // Project: B = Qᵀ A is s×cols; factorize via the s×s Gramian B·Bᵀ.

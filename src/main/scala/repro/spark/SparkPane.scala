@@ -19,14 +19,20 @@ import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
   *  - **SMGreedyInit** (Alg 7): node-row blocks are the unit of
   *    parallelism; per-partition RandSVD of F'[Vi], small merge SVD on the
   *    driver, per-row initialization of Xf, Xb, Sf, Sb on executors.
-  *  - **PSVDCCD** (Alg 8): the X phase is a per-row map (exactly
-  *    [[SvdCcd.nodeRowUpdate]]); the Y phase is the Gramian replay of
-  *    [[SvdCcd.attrSweep]] split across the cluster: executors aggregate
-  *    Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf, Hb = XbᵀXb
-  *    ([[SvdCcd.attrGramRow]]), the driver replays the coordinate updates
-  *    ([[SvdCcd.attrReplay]], DESIGN.md §2), and the resulting ΔY is pushed
-  *    back as the residual patch Sf ← Sf − Xf·ΔYᵀ
-  *    ([[SvdCcd.attrRowPatch]]) at the start of the next map.
+  *  - **PSVDCCD** (Alg 8): every step calls the [[SvdCcd]] kernels the
+  *    single-thread and pool solvers use. The X phase is a per-row map
+  *    running [[SvdCcd.RowKernels.nodeRow]] (Yᵀ and H = YᵀY built once per
+  *    partition), so each row equals [[SvdCcd.nodeSweep]] bit for bit. The
+  *    Y phase is the Gramian replay of [[SvdCcd.attrSweep]] split across the
+  *    cluster: executors aggregate Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf,
+  *    Hb = XbᵀXb ([[SvdCcd.attrGramRows]], four rows at a time), the driver
+  *    replays the coordinate updates ([[SvdCcd.attrReplay]], DESIGN.md §2),
+  *    and the resulting ΔYᵀ is pushed back as the residual patch
+  *    Sf ← Sf − Xf·ΔYᵀ ([[SvdCcd.rowPatch]]) at the start of the next map.
+  *    The initial residuals of SMGreedyInit are [[SvdCcd.RowKernels.residualRow]].
+  *
+  * Each stage runs under a job description (`papmi`, `sm-greedy-init`,
+  * `ccd sweep i`), cleared when `embed` returns.
   *
   * The result matches the thread-pool ParallelPane up to floating-point
   * summation order (tested).
@@ -159,19 +165,28 @@ object SparkPane extends Serializable {
     */
   def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig(),
             nbOpt: Option[Int] = None)(implicit spark: SparkSession): Embeddings = {
+    val sc = spark.sparkContext
+    try embedStages(g, cfg, nbOpt.getOrElse(sc.defaultParallelism))
+    finally sc.setJobDescription(null)
+  }
+
+  private def embedStages(g: AttributedGraph, cfg: PaneConfig, nb: Int)
+                         (implicit spark: SparkSession): Embeddings = {
     import spark.implicits._
     val sc = spark.sparkContext
-    val nb = nbOpt.getOrElse(sc.defaultParallelism)
     val half = cfg.k / 2
     val n = g.n
     val d = g.d
     val t = cfg.t
 
+    sc.setJobDescription("papmi")
     val aff = papmi(g, cfg.alpha, t, nb, spark)
       .repartition(nb, $"part")
       .persist(StorageLevel.MEMORY_AND_DISK)
+    aff.count()
 
     // ---- SMGreedyInit stage 1: per-block RandSVD of F'[Vi] --------------
+    sc.setJobDescription("sm-greedy-init")
     val stage1 = aff.mapPartitions { rows =>
       rows.toSeq.groupBy(_.part).iterator.flatMap { case (part, group) =>
         val sorted = group.sortBy(_.id)
@@ -207,71 +222,79 @@ object SparkPane extends Serializable {
     val bcY0 = sc.broadcast(y0)
 
     // ---- stage 2: per-row init of Xf, Xb, Sf, Sb (Alg 7 Lines 7-11) -----
-    var state = stage1.map { s =>
+    var state = stage1.mapPartitions { rows =>
       val wAll = bcW.value
       val yv = bcY0.value
-      val bi = bcPartIndex.value(s.part)
-      val xf = new Array[Double](half)
-      var l2 = 0
-      while (l2 < half) {
-        var acc = 0.0
+      val kern = new SvdCcd.RowKernels(yv)
+      rows.map { s =>
+        val bi = bcPartIndex.value(s.part)
+        val xf = new Array[Double](half)
+        var l2 = 0
+        while (l2 < half) {
+          var acc = 0.0
+          var l = 0
+          while (l < half) { acc += s.u(l) * wAll(bi * half + l, l2); l += 1 }
+          xf(l2) = acc
+          l2 += 1
+        }
+        val xb = new Array[Double](half)
         var l = 0
-        while (l < half) { acc += s.u(l) * wAll(bi * half + l, l2); l += 1 }
-        xf(l2) = acc
-        l2 += 1
+        while (l < half) {
+          var acc = 0.0
+          var j = 0
+          while (j < d) { acc += s.b(j) * yv(j, l); j += 1 }
+          xb(l) = acc
+          l += 1
+        }
+        val sf = new Array[Double](d)
+        val sb = new Array[Double](d)
+        kern.residualRow(xf, 0, s.f, 0, sf, 0)
+        kern.residualRow(xb, 0, s.b, 0, sb, 0)
+        CcdRow(s.id, xf, xb, sf, sb)
       }
-      val xb = new Array[Double](half)
-      var l = 0
-      while (l < half) {
-        var acc = 0.0
-        var j = 0
-        while (j < d) { acc += s.b(j) * yv(j, l); j += 1 }
-        xb(l) = acc
-        l += 1
-      }
-      val sf = new Array[Double](d)
-      val sb = new Array[Double](d)
-      var j = 0
-      while (j < d) {
-        var accF = 0.0
-        var accB = 0.0
-        l = 0
-        while (l < half) { accF += xf(l) * yv(j, l); accB += xb(l) * yv(j, l); l += 1 }
-        sf(j) = accF - s.f(j)
-        sb(j) = accB - s.b(j)
-        j += 1
-      }
-      CcdRow(s.id, xf, xb, sf, sb)
     }.persist(StorageLevel.MEMORY_AND_DISK)
     state.count() // materialize before unpersisting parents
     aff.unpersist()
 
     // ---- PSVDCCD iterations --------------------------------------------
     var y = y0
-    var pendingDelta = Array.empty[Double]
+    var pendingDeltaT = Array.empty[Double]
     val iters = cfg.refineIters
     var it = 0
     while (it < iters) {
+      sc.setJobDescription(s"ccd sweep $it")
       val bcY = sc.broadcast(y)
-      val bcDelta = sc.broadcast(pendingDelta)
+      val bcDeltaT = sc.broadcast(pendingDeltaT)
       val prev = state
       state = prev.mapPartitions { rows =>
-        val yv = bcY.value
-        val deltaData = bcDelta.value
-        val yColNorm = SvdCcd.yColNorms(yv)
+        val deltaT = bcDeltaT.value
+        val kern = new SvdCcd.RowKernels(bcY.value)
         rows.map { row =>
           // Patch residuals for the Y move of the previous iteration.
-          if (deltaData.nonEmpty)
-            SvdCcd.attrRowPatch(row.xf, row.xb, 0, row.sf, row.sb, 0, deltaData, half, d)
-          SvdCcd.nodeRowUpdate(row.xf, row.xb, row.sf, row.sb, yv, yColNorm)
+          if (deltaT.nonEmpty) {
+            SvdCcd.rowPatch(row.xf, 0, half, deltaT, d, row.sf, 0)
+            SvdCcd.rowPatch(row.xb, 0, half, deltaT, d, row.sb, 0)
+          }
+          kern.nodeRow(row.xf, row.xb, 0, row.sf, row.sb, 0)
           row
         }
       }.persist(StorageLevel.MEMORY_AND_DISK)
 
-      // Aggregate Gf, Gb, Hf, Hb over all rows in one flat array.
+      // Aggregate Gf, Gb, Hf, Hb over all rows in one flat array, copying
+      // four rows at a time into the contiguous layout attrGramRows reads.
       val agg = state.mapPartitions { rows =>
         val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
-        rows.foreach(r => SvdCcd.attrGramRow(r.xf, r.xb, 0, r.sf, r.sb, 0, half, d, acc))
+        val (xf4, xb4) = (new Array[Double](4 * half), new Array[Double](4 * half))
+        val (sf4, sb4) = (new Array[Double](4 * d), new Array[Double](4 * d))
+        rows.grouped(4).foreach { group =>
+          group.iterator.zipWithIndex.foreach { case (r, q) =>
+            System.arraycopy(r.xf, 0, xf4, q * half, half)
+            System.arraycopy(r.xb, 0, xb4, q * half, half)
+            System.arraycopy(r.sf, 0, sf4, q * d, d)
+            System.arraycopy(r.sb, 0, sb4, q * d, d)
+          }
+          SvdCcd.attrGramRows(xf4, xb4, sf4, sb4, 0, d, group.length, half, d, acc)
+        }
         Iterator.single(acc)
       }.reduce { (a, b) =>
         var i = 0
@@ -283,7 +306,7 @@ object SparkPane extends Serializable {
       // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14),
       // the same kernel SvdCcd.attrSweep runs on a column range.
       val newY = y.copy
-      pendingDelta = SvdCcd.attrReplay(newY, agg, 0, d)
+      pendingDeltaT = SvdCcd.attrReplay(newY, agg, 0, d)
       y = newY
       it += 1
     }

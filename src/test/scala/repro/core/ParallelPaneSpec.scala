@@ -91,6 +91,20 @@ class ParallelPaneSpec extends AnyFunSuite {
     assert((single.y - parallel.y).maxAbs == 0.0)
   }
 
+  test("maintained residuals stay exact over 6 sweeps, single and pool: ‖S − (X·Yᵀ − F')‖max ≤ 1e-12·max|F'|") {
+    val aff = Apmi.run(g, alpha, t)
+    val single = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 6)
+    SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 6, init = single)
+    val pool = ParallelPane.smGreedyInit(aff.fPrime, aff.bPrime, k, svdIters = 6, nb = 4)
+    ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 6, nb = 4, init = pool)
+    for ((name, st) <- Seq("single" -> single, "pool" -> pool)) {
+      val driftF = (st.sf - (st.xf.mulT(st.y) - aff.fPrime)).maxAbs
+      val driftB = (st.sb - (st.xb.mulT(st.y) - aff.bPrime)).maxAbs
+      assert(driftF <= 1e-12 * aff.fPrime.maxAbs, s"$name Sf drift $driftF")
+      assert(driftB <= 1e-12 * aff.bPrime.maxAbs, s"$name Sb drift $driftB")
+    }
+  }
+
   test("end-to-end parallel embed quality matches single-thread (§5: small utility loss)") {
     val cfg = PaneConfig(k = k, alpha = alpha, eps = 0.015)
     val aff = Apmi.run(g, cfg.alpha, cfg.t)

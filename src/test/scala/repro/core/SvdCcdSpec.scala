@@ -93,22 +93,76 @@ class SvdCcdSpec extends AnyFunSuite {
     }
   }
 
-  test("nodeRowUpdate is bit-identical to nodeSweep") {
+  test("RowKernels.nodeRow on standalone rows is bit-identical to nodeSweep") {
     val st1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
     val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
     SvdCcd.nodeSweep(st1, 0, aff.fPrime.rows)
-    val norms = SvdCcd.yColNorms(st2.y)
-    val d = aff.fPrime.cols
+    val kern = new SvdCcd.RowKernels(st2.y) // once per partition, as on Spark
     for (i <- 0 until aff.fPrime.rows) {
       val xf = st2.xf.row(i); val xb = st2.xb.row(i)
       val sf = st2.sf.row(i); val sb = st2.sb.row(i)
-      SvdCcd.nodeRowUpdate(xf, xb, sf, sb, st2.y, norms)
+      kern.nodeRow(xf, xb, 0, sf, sb, 0)
       st2.xf.setRow(i, xf); st2.xb.setRow(i, xb)
       st2.sf.setRow(i, sf); st2.sb.setRow(i, sb)
     }
     assert((st1.xf - st2.xf).maxAbs == 0.0)
     assert((st1.xb - st2.xb).maxAbs == 0.0)
     assert((st1.sf - st2.sf).maxAbs == 0.0)
+    assert((st1.sb - st2.sb).maxAbs == 0.0)
+  }
+
+  test("Gramian-replay nodeSweep matches the column-strided X-phase over 6 sweeps on mid") {
+    val affMid = Apmi.run(Fixtures.mid, alpha = 0.5, t = 5)
+    val (n, d) = (affMid.fPrime.rows, affMid.fPrime.cols)
+    val st1 = SvdCcd.greedyInit(affMid.fPrime, affMid.bPrime, 16, svdIters = 3)
+    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+    for (_ <- 1 to 6) {
+      SvdCcd.nodeSweep(st1, 0, n)
+      SvdCcd.attrSweep(st1, 0, d)
+      columnStridedNodeSweep(st2)
+      SvdCcd.attrSweep(st2, 0, d)
+    }
+    def rel(a: DenseMatrix, oracle: DenseMatrix): Double = (a - oracle).maxAbs / oracle.maxAbs
+    assert(rel(st1.xf, st2.xf) <= 1e-13, s"Xf rel diff ${rel(st1.xf, st2.xf)}")
+    assert(rel(st1.xb, st2.xb) <= 1e-13, s"Xb rel diff ${rel(st1.xb, st2.xb)}")
+    assert(rel(st1.y, st2.y) <= 1e-13, s"Y rel diff ${rel(st1.y, st2.y)}")
+    assert(rel(st1.sf, st2.sf) <= 1e-13, s"Sf rel diff ${rel(st1.sf, st2.sf)}")
+    assert(rel(st1.sb, st2.sb) <= 1e-13, s"Sb rel diff ${rel(st1.sb, st2.sb)}")
+  }
+
+  test("rowPatch and attrGramRows equal the naive double loops (exact on integer data)") {
+    val rnd = new scala.util.Random(5L)
+    def ints(len: Int): Array[Double] = Array.fill(len)((rnd.nextInt(17) - 8).toDouble)
+    for (half <- 1 to 9; w <- Seq(1, 4, 7)) {
+      val (cOff, sOff) = (3, 2)
+      val coef = ints(cOff + half)
+      val m = ints(half * w)
+      val s = ints(sOff + w + 1)
+      val naive = s.clone
+      for (c <- 0 until w; l <- 0 until half) naive(sOff + c) -= coef(cOff + l) * m(l * w + c)
+      SvdCcd.rowPatch(coef, cOff, half, m, w, s, sOff)
+      assert(java.util.Arrays.equals(s, naive), s"rowPatch half=$half w=$w")
+    }
+    for (rows <- 1 to 9; half <- Seq(1, 3, 4); w <- Seq(1, 5)) {
+      val (sOff, stride) = (1, w + 2)
+      val (xf, xb) = (ints(rows * half), ints(rows * half))
+      val (sf, sb) = (ints(sOff + rows * stride), ints(sOff + rows * stride))
+      val acc = new Array[Double](SvdCcd.attrGramSize(half, w))
+      SvdCcd.attrGramRows(xf, xb, sf, sb, sOff, stride, rows, half, w, acc)
+      val naive = new Array[Double](acc.length)
+      val (gSize, hSize) = (half * w, half * half)
+      for (r <- 0 until rows; l <- 0 until half) {
+        for (c <- 0 until w) {
+          naive(l * w + c) += xf(r * half + l) * sf(sOff + r * stride + c)
+          naive(gSize + l * w + c) += xb(r * half + l) * sb(sOff + r * stride + c)
+        }
+        for (l2 <- 0 until half) {
+          naive(2 * gSize + l * half + l2) += xf(r * half + l) * xf(r * half + l2)
+          naive(2 * gSize + hSize + l * half + l2) += xb(r * half + l) * xb(r * half + l2)
+        }
+      }
+      assert(java.util.Arrays.equals(acc, naive), s"attrGramRows rows=$rows half=$half w=$w")
+    }
   }
 
   test("attrSweep on disjoint column blocks equals one full sweep (PSVDCCD exactness)") {
@@ -157,18 +211,9 @@ class SvdCcdSpec extends AnyFunSuite {
     val (gf2, gb2) = (gf.clone, gb.clone)
     val (y2, delta2) = formerSparkReplay(y, gf2, gb2, hf, hb)
     assert(java.util.Arrays.equals(y1.data, y2.data))
-    assert(java.util.Arrays.equals(delta1, delta2.data))
+    assert(java.util.Arrays.equals(delta1, delta2.transpose.data)) // ΔYᵀ, l-major
     assert(java.util.Arrays.equals(acc.take(half * d), gf2))
     assert(java.util.Arrays.equals(acc.slice(half * d, 2 * half * d), gb2))
-  }
-
-  test("yColNorms matches direct computation") {
-    val y = DenseMatrix.randn(7, 3, 4L)
-    val norms = SvdCcd.yColNorms(y)
-    for (l <- 0 until 3) {
-      val direct = (0 until 7).map(j => y(j, l) * y(j, l)).sum
-      assert(math.abs(norms(l) - direct) < 1e-12)
-    }
   }
 
   test("run returns embeddings with the right shapes") {
@@ -186,6 +231,28 @@ class SvdCcdSpec extends AnyFunSuite {
     val rb = e.xb.mulT(e.y) - aff.bPrime
     val manual = rf.data.map(x => x * x).sum + rb.data.map(x => x * x).sum
     assert(math.abs(o - manual) < 1e-6 * math.max(1.0, manual))
+  }
+
+  /** The X-phase as first written: per node and coordinate, a dot product
+    * and an update over column l of row-major Y (stride k/2).
+    */
+  private def columnStridedNodeSweep(st: SvdCcd.State): Unit = {
+    val half = st.y.cols
+    val d = st.y.rows
+    val yColNorm = Array.tabulate(half)(l => (0 until d).map(j => st.y(j, l) * st.y(j, l)).sum)
+    for (i <- 0 until st.xf.rows; l <- 0 until half if yColNorm(l) > 1e-300) {
+      var dotF = 0.0
+      var dotB = 0.0
+      for (j <- 0 until d) { dotF += st.sf(i, j) * st.y(j, l); dotB += st.sb(i, j) * st.y(j, l) }
+      val muF = dotF / yColNorm(l)
+      val muB = dotB / yColNorm(l)
+      st.xf(i, l) = st.xf(i, l) - muF
+      st.xb(i, l) = st.xb(i, l) - muB
+      for (j <- 0 until d) {
+        st.sf(i, j) = st.sf(i, j) - muF * st.y(j, l)
+        st.sb(i, j) = st.sb(i, j) - muB * st.y(j, l)
+      }
+    }
   }
 
   /** The Y-phase as first written: column-strided over row-major Sf/Sb. */

@@ -24,15 +24,20 @@ class AttributedGraphSpec extends AnyFunSuite {
     assert(a.outDegree.toSeq == Seq(1, 1, 0))
   }
 
-  test("out-of-range node ids fail loudly instead of being dropped") {
-    def graph(src: Int, attrNode: Int) = AttributedGraph(3, 1,
-      src = Array(src), dst = Array(1),
-      attrNode = Array(attrNode), attrId = Array(0), attrW = Array(1.0),
-      labels = Array.fill(3)(Array(0)), directed = true)
-    val badEdge = intercept[IllegalArgumentException](graph(src = 7, attrNode = 0).walkMatrix)
-    assert(badEdge.getMessage.contains("row 7 out of range [0,3)"))
-    val badAttr = intercept[IllegalArgumentException](graph(src = 0, attrNode = 9).attrMatrix)
-    assert(badAttr.getMessage.contains("row 9 out of range [0,3)"))
+  test("out-of-range ids and non-finite weights fail loudly at construction") {
+    def graph(src: Int = 0, dst: Int = 1, attrNode: Int = 0, attrId: Int = 0, w: Double = 1.0) =
+      AttributedGraph(3, 1,
+        src = Array(1, src), dst = Array(2, dst),
+        attrNode = Array(attrNode), attrId = Array(attrId), attrW = Array(w),
+        labels = Array.fill(3)(Array(0)), directed = true)
+    def message(g: => AttributedGraph): String = intercept[IllegalArgumentException](g).getMessage
+    assert(message(graph(src = 7)).contains("edge 1: src 7 out of range [0,3)"))
+    assert(message(graph(dst = -1)).contains("edge 1: dst -1 out of range [0,3)"))
+    assert(message(graph(attrNode = 9)).contains("attribute entry 0: node 9 out of range [0,3)"))
+    assert(message(graph(attrId = 1)).contains("attribute entry 0: attribute 1 out of range [0,1)"))
+    assert(message(graph(w = Double.NaN)).contains("attribute entry 0: weight NaN is not finite"))
+    assert(message(graph(w = Double.PositiveInfinity)).contains("weight Infinity is not finite"))
+    assert(message(g.withEdges(Array(0), Array(6))).contains("dst 6 out of range [0,6)"))
   }
 
   test("walkMatrix rows are stochastic") {

@@ -37,6 +37,32 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
     assertThrows[IllegalArgumentException](Qr.thinQ(DenseMatrix.randn(2, 5, 1L)))
   }
 
+  test("CholeskyQR2 gives orthonormal columns with the span of Householder QR") {
+    forSeeds(10) { seed =>
+      val c = new Random(seed).nextInt(40) + 1
+      val a = DenseMatrix.randn(c + 10 + new Random(seed + 1).nextInt(300), c, seed)
+      val q = Qr.cholQr2(a).getOrElse(fail(s"seed $seed: well-conditioned input fell back"))
+      assert((q.tMul(q) - DenseMatrix.eye(c)).maxAbs <= 1e-13)
+      val h = Qr.thinQ(a)
+      assert((q.mulT(q) - h.mulT(h)).maxAbs <= 1e-12, "projectors onto the two spans differ")
+      assert(Qr.orthonormal(a).data.sameElements(q.data))
+    }
+  }
+
+  test("orthonormal falls back to Householder on rank-deficient or tiny-pivot input") {
+    val exact = DenseMatrix.randn(30, 3, 4L).mulT(DenseMatrix.randn(6, 3, 5L)) // 30 × 6, rank 3
+    // Column 2 = column 0 + 1e-7·noise: its pivot is positive but ~1e-14 of its squared norm.
+    val near = DenseMatrix.randn(30, 3, 6L)
+    val noise = DenseMatrix.randn(30, 1, 7L)
+    for (i <- 0 until 30) near(i, 2) = near(i, 0) + 1e-7 * noise(i, 0)
+    for (a <- Seq(exact, near)) {
+      assert(Qr.cholQr2(a).isEmpty)
+      val q = Qr.orthonormal(a)
+      assert(q.data.sameElements(Qr.thinQ(a).data))
+      assert((q.tMul(q) - DenseMatrix.eye(a.cols)).maxAbs <= 1e-13)
+    }
+  }
+
   // --------------------------------------------------------------- Eig
 
   test("symmetric eig reconstructs the matrix (property)") {

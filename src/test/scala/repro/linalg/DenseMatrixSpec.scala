@@ -27,6 +27,13 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     assert(m.data.forall(_ == 0.0))
   }
 
+  test("zeros and randn reject sizes a JVM array cannot hold, before allocating") {
+    val e = intercept[IllegalArgumentException](DenseMatrix.zeros(70000, 70000))
+    assert(e.getMessage.contains("70000 x 70000") && e.getMessage.contains("37384 MiB"), e.getMessage)
+    intercept[IllegalArgumentException](DenseMatrix.randn(70000, 70000, 1L))
+    intercept[IllegalArgumentException](DenseMatrix.zeros(-1, 3))
+  }
+
   test("eye is the multiplicative identity") {
     val a = DenseMatrix.randn(4, 4, 1L)
     assert(((a * DenseMatrix.eye(4)) - a).maxAbs < 1e-12)

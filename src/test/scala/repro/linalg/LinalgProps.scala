@@ -81,6 +81,12 @@ object LinalgProps extends Properties("linalg") {
       (q.tMul(q) - DenseMatrix.eye(c)).maxAbs < 1e-8
     }
 
+  property("Qr.orthonormal (CholeskyQR2): QᵀQ = I for random tall matrices") =
+    forAll(dimGen, seedGen) { (c, s) =>
+      val q = Qr.orthonormal(mat(4 * c + 5, c, s))
+      (q.tMul(q) - DenseMatrix.eye(c)).maxAbs <= 1e-13
+    }
+
   property("Eig.symmetric eigenvalues of AᵀA are non-negative") =
     forAll(dimGen, seedGen) { (n, s) =>
       val g = mat(n, n, s)

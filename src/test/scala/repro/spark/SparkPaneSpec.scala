@@ -77,6 +77,28 @@ class SparkPaneSpec extends SparkSpec {
     assert(e.y.data.forall(java.lang.Double.isFinite))
   }
 
+  test("each stage runs under its job description, cleared when embed returns") {
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new org.apache.spark.scheduler.SparkListener {
+      override def onJobStart(e: org.apache.spark.scheduler.SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).foreach(seen.add)
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      SparkPane.embed(Fixtures.tiny, PaneConfig(k = 8), Some(2))
+      assert(sc.getLocalProperty("spark.job.description") == null)
+      // The bus delivers events in order: once the marker job is seen, so is every earlier job.
+      sc.setJobDescription("marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30e9.toLong
+      while (!seen.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+    } finally sc.removeSparkListener(listener)
+    val descs = seen.toArray.toSeq.map(_.toString).distinct.filter(_ != "marker")
+    val sweeps = (0 until PaneConfig(k = 8).refineIters).map(i => s"ccd sweep $i")
+    assert(descs == Seq("papmi", "sm-greedy-init") ++ sweeps, descs)
+  }
+
   test("distributed embed is deterministic for fixed nb") {
     val a = SparkPane.embed(Fixtures.tiny, PaneConfig(k = 8), Some(2))
     val b = SparkPane.embed(Fixtures.tiny, PaneConfig(k = 8), Some(2))
