@@ -21,12 +21,27 @@ final case class PaneConfig(
 ) {
   def t: Int = Apmi.iterations(alpha, eps)
   def refineIters: Int = ccdIters.getOrElse(t)
+
+  /** Rejects a k that cannot embed an n-node, d-attribute graph in `nb`
+    * node blocks, before any work starts: k must be even and at least 2,
+    * at most 2·min(n, d), and k/2 may not exceed the rows of the smallest
+    * node block of [[ParallelPane.ranges]]`(n, nb)` (each block's RandSVD
+    * needs k/2 ≤ its rows).
+    */
+  def requireK(n: Int, d: Int, nb: Int): Unit = {
+    val smallest = ParallelPane.ranges(n, nb).map(r => r._2 - r._1).minOption.getOrElse(0)
+    require(k >= 2 && k % 2 == 0 && k / 2 <= math.min(n, d) && k / 2 <= smallest,
+      s"space budget k = $k does not fit n = $n nodes, d = $d attributes in nb = $nb node blocks: " +
+      s"k must be even, at least 2 and at most 2·min(n, d) = ${2 * math.min(n, d)}, " +
+      s"and k/2 at most $smallest, the rows of the smallest node block")
+  }
 }
 
 /** Algorithm 1 — single-thread PANE. */
 object Pane {
 
   def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings = {
+    cfg.requireK(g.n, g.d, 1)
     val aff = Apmi.run(g, cfg.alpha, cfg.t)
     SvdCcd.run(aff.fPrime, aff.bPrime, cfg.k, cfg.refineIters, seed = cfg.seed)
   }

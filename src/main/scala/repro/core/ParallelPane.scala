@@ -112,24 +112,47 @@ object ParallelPane {
     val d = f.cols
     val nodeBlocks = ranges(n, nb)
     val us = new Array[DenseMatrix](nodeBlocks.length)
-    val vs = new Array[DenseMatrix](nodeBlocks.length)
+    val vts = new Array[DenseMatrix](nodeBlocks.length)
     runAll(nb, nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
       () => {
-        val block = f.rowSlice(from, until)
-        val (u, sig, v) = RandSvd(block, half, svdIters, seed = seed + bi)
-        val ui = DenseMatrix.zeros(block.rows, half)
-        var i = 0
-        while (i < block.rows) {
-          var j = 0
-          while (j < half) { ui(i, j) = u(i, j) * sig(j); j += 1 }
-          i += 1
-        }
+        val (ui, vt) = splitSvd(f.rowSlice(from, until), bi, half, svdIters, seed)
         us(bi) = ui
-        vs(bi) = v.transpose // store as k/2 × d rows for stacking
+        vts(bi) = vt
       }
     })
-    // Merge: V = [V1ᵀ; ...; V_nbᵀ] ∈ R^{(nb·k/2) × d}, RandSVD(V) → W, Y.
-    val stacked = DenseMatrix.vstack(vs.toSeq)
+    val (w, y) = mergeSvd(vts.toSeq, half, svdIters, seed)
+    val st = SvdCcd.State(DenseMatrix.zeros(n, half), DenseMatrix.zeros(n, half), y,
+      DenseMatrix.zeros(n, d), DenseMatrix.zeros(n, d))
+    runAll(nb, nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
+      () => initBlock(st, f, b, from, until, us(bi), w, bi)
+    })
+    st
+  }
+
+  /** SMGreedyInit's split (Alg 7 Lines 2–3) on node block `bi`, the rows of
+    * F'[Vi]: RandSVD(F'[Vi], k/2) = U·Σ·Vᵀ with seed `seed + bi`, returned as
+    * (Ui = U·Σ, Viᵀ), Viᵀ being k/2 × d for stacking.
+    */
+  def splitSvd(fBlock: DenseMatrix, bi: Int, half: Int, svdIters: Int,
+               seed: Long): (DenseMatrix, DenseMatrix) = {
+    val (u, sig, v) = RandSvd(fBlock, half, svdIters, seed = seed + bi)
+    val ui = DenseMatrix.zeros(fBlock.rows, half)
+    var i = 0
+    while (i < fBlock.rows) {
+      var j = 0
+      while (j < half) { ui(i, j) = u(i, j) * sig(j); j += 1 }
+      i += 1
+    }
+    (ui, v.transpose)
+  }
+
+  /** SMGreedyInit's merge (Alg 7 Lines 4–6): RandSVD of the stacked
+    * [V1ᵀ; …; V_nbᵀ] ∈ R^{(nb·k/2) × d} with seed `seed + 9999` gives Φ·Σ'·Yᵀ;
+    * returns (W = Φ·Σ', Y). Block bi's rows of W are bi·k/2 until (bi+1)·k/2.
+    */
+  def mergeSvd(vts: Seq[DenseMatrix], half: Int, svdIters: Int,
+               seed: Long): (DenseMatrix, DenseMatrix) = {
+    val stacked = DenseMatrix.vstack(vts)
     val (phi, sig2, y) = RandSvd(stacked, half, svdIters, seed = seed + 9999)
     val w = DenseMatrix.zeros(stacked.rows, half)
     var i = 0
@@ -138,19 +161,23 @@ object ParallelPane {
       while (j < half) { w(i, j) = phi(i, j) * sig2(j); j += 1 }
       i += 1
     }
-    // Per-block init of Xf, Xb, Sf, Sb (Alg 7 Lines 7-11).
-    val st = SvdCcd.State(DenseMatrix.zeros(n, half), DenseMatrix.zeros(n, half), y,
-      DenseMatrix.zeros(n, d), DenseMatrix.zeros(n, d))
-    runAll(nb, nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
-      () => {
-        val xfB = us(bi) * w.rowSlice(bi * half, (bi + 1) * half)
-        val xbB = b.rowSlice(from, until) * y
-        System.arraycopy(xfB.data, 0, st.xf.data, from * half, xfB.data.length)
-        System.arraycopy(xbB.data, 0, st.xb.data, from * half, xbB.data.length)
-        SvdCcd.residualRows(st, f, b, from, until)
-      }
-    })
-    st
+    (w, y)
+  }
+
+  /** SMGreedyInit's per-block init (Alg 7 Lines 7–11) of node block `bi`,
+    * rows [from, until) of `f`, `b` and `st`: Xf = Ui·W[bi], Xb = B'[Vi]·Y
+    * with Y = st.y, then the rows' residuals Sf, Sb. The pool passes the
+    * full matrices and a block's range; Spark passes one block's matrices
+    * and all of their rows.
+    */
+  def initBlock(st: SvdCcd.State, f: DenseMatrix, b: DenseMatrix, from: Int, until: Int,
+                ui: DenseMatrix, w: DenseMatrix, bi: Int): Unit = {
+    val half = st.y.cols
+    val xfB = ui * w.rowSlice(bi * half, (bi + 1) * half)
+    val xbB = b.rowSlice(from, until) * st.y
+    System.arraycopy(xfB.data, 0, st.xf.data, from * half, xfB.data.length)
+    System.arraycopy(xbB.data, 0, st.xb.data, from * half, xbB.data.length)
+    SvdCcd.residualRows(st, f, b, from, until)
   }
 
   /** Algorithm 8 — PSVDCCD: parallel CCD refinement. */
@@ -172,6 +199,7 @@ object ParallelPane {
 
   /** Algorithm 5 — parallel PANE end to end. */
   def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig(), nb: Int): Embeddings = {
+    cfg.requireK(g.n, g.d, nb)
     val (fP, bP) = papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, cfg.alpha, cfg.t, nb)
     psvdccd(fP, bP, cfg.k, cfg.refineIters, nb, seed = cfg.seed)
   }

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 import repro.graph.AttributedGraph
@@ -27,41 +27,5 @@ object SparkGraph {
     val m = edges.agg(count(lit(1)) as "m").head().getLong(0)
     val er = attrs.agg(count(lit(1)) as "er").head().getLong(0)
     Stats(g.name, g.n.toLong, m, g.d.toLong, er, g.numLabels.toLong)
-  }
-
-  /** Random-walk matrix P = D⁻¹A as a DataFrame (src, dst, w), with
-    * self-loops for dangling nodes — same convention as
-    * [[AttributedGraph.walkMatrix]] (tested equal).
-    */
-  def walkEdges(g: AttributedGraph, spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val edges = g.edgeDF(spark).distinct()
-    val deg = edges.groupBy($"src").agg(count(lit(1)) as "outdeg")
-    val weighted = edges.join(deg, "src").select($"src", $"dst", (lit(1.0) / $"outdeg") as "w")
-    val nodes = spark.range(g.n).select($"id".cast("int") as "src")
-    val dangling = nodes.join(deg, nodes("src") === deg("src"), "left_anti")
-      .select(col("src"), col("src") as "dst", lit(1.0) as "w")
-    weighted.unionByName(dangling)
-  }
-
-  /** Row-normalized attribute matrix Rr as a DataFrame (node, attr, w) —
-    * the walk's node→attribute pick distribution (Equation (1), walk
-    * semantics).
-    */
-  def attrRowNorm(g: AttributedGraph, spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val attrs = g.attrDF(spark)
-    val sums = attrs.groupBy($"node").agg(sum($"weight") as "rowsum")
-    attrs.join(sums, "node").select($"node", $"attr", ($"weight" / $"rowsum") as "w")
-  }
-
-  /** Column-normalized attribute matrix Rc as a DataFrame (node, attr, w) —
-    * the backward walk's attribute→node pick distribution.
-    */
-  def attrColNorm(g: AttributedGraph, spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    val attrs = g.attrDF(spark)
-    val sums = attrs.groupBy($"attr").agg(sum($"weight") as "colsum")
-    attrs.join(sums, "attr").select($"node", $"attr", ($"weight" / $"colsum") as "w")
   }
 }

@@ -1,91 +1,77 @@
 package repro.spark
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 
-import repro.core.{Apmi, Embeddings, PaneConfig, SvdCcd}
+import repro.core.{Embeddings, PaneConfig, ParallelPane, SvdCcd}
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.{DenseMatrix, SparseMatrix}
 
 /** Distributed-dataflow PANE (the paper's Section 4, with Spark partitions
-  * playing the role of threads).
+  * playing the role of threads). Partition i holds node block i of
+  * [[ParallelPane.ranges]]`(n, nb)` as contiguous row-major [[DenseMatrix]]es,
+  * keyed by block id under a `HashPartitioner(nb)`, which maps a small
+  * non-negative Int to itself; every later stage keeps that placement. So
+  * each stage runs one task per block, on the same blocks and with the same
+  * block kernels as the thread pool ([[ParallelPane]]).
   *
   *  - **PAPMI** (Alg 6): attribute-column blocks are the unit of
   *    parallelism. The sparse walk matrix P is broadcast (the dataflow
   *    analog of the paper's shared memory); each task runs the affinity
-  *    recurrence for its column slice locally, finalizes F' in-block
-  *    (column normalization is block-local), and the per-node row stitch +
-  *    row normalization of B' happens in a groupByKey over nodes.
-  *  - **SMGreedyInit** (Alg 7): node-row blocks are the unit of
-  *    parallelism; per-partition RandSVD of F'[Vi], small merge SVD on the
-  *    driver, per-row initialization of Xf, Xb, Sf, Sb on executors.
-  *  - **PSVDCCD** (Alg 8): every step calls the [[SvdCcd]] kernels the
-  *    single-thread and pool solvers use. The X phase is a per-row map
-  *    running [[SvdCcd.RowKernels.nodeRow]] (Yᵀ and H = YᵀY built once per
-  *    partition), so each row equals [[SvdCcd.nodeSweep]] bit for bit. The
-  *    Y phase is the Gramian replay of [[SvdCcd.attrSweep]] split across the
-  *    cluster: executors aggregate Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf,
-  *    Hb = XbᵀXb ([[SvdCcd.attrGramRows]], four rows at a time), the driver
-  *    replays the coordinate updates ([[SvdCcd.attrReplay]], DESIGN.md §2),
-  *    and the resulting ΔYᵀ is pushed back as the residual patch
-  *    Sf ← Sf − Xf·ΔYᵀ ([[SvdCcd.rowPatch]]) at the start of the next map.
-  *    The initial residuals of SMGreedyInit are [[SvdCcd.RowKernels.residualRow]].
+  *    recurrence for its column slice, finalizes F' in-block (column
+  *    normalization is block-local) and emits one chunk per node block. A
+  *    partition stitches its chunks into F'[Vi] and P̂b[Vi], then
+  *    row-normalizes B'[Vi].
+  *  - **SMGreedyInit** (Alg 7): [[ParallelPane.splitSvd]] on each block's
+  *    F'[Vi], [[ParallelPane.mergeSvd]] on the driver, and
+  *    [[ParallelPane.initBlock]] per block, as in the pool.
+  *  - **PSVDCCD** (Alg 8): one job per sweep. Each block is copied (cached
+  *    parents stay immutable for lineage), patched for the previous sweep's
+  *    ΔYᵀ ([[SvdCcd.rowPatch]]), swept by [[SvdCcd.nodeSweep]] and reduced to
+  *    its Y-phase accumulator Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf,
+  *    Hb = XbᵀXb ([[SvdCcd.attrGramRows]]). The driver sums the
+  *    accumulators in block order and replays the coordinate updates
+  *    ([[SvdCcd.attrReplay]], DESIGN.md §2); the ΔYᵀ it returns is the
+  *    patch of the next sweep.
   *
   * Each stage runs under a job description (`papmi`, `sm-greedy-init`,
   * `ccd sweep i`), cleared when `embed` returns.
   *
-  * The result matches the thread-pool ParallelPane up to floating-point
-  * summation order (tested).
+  * The X-phase of every block equals the pool's bit for bit; the result
+  * matches the thread-pool ParallelPane up to the summation order of the
+  * Y-phase accumulators (tested to 1e-12 of its max-abs), and it is the same
+  * for every run with the same nb (tested bit for bit).
   */
 object SparkPane extends Serializable {
 
-  /** A stitched affinity row: node id, block id (for SMGreedyInit), and
-    * the node's rows of F' and B'.
+  /** Node block i of `ranges(n, nb)`: its first node and its rows of F'
+    * and B'.
     */
-  final case class AffRow(id: Int, part: Int, f: Array[Double], b: Array[Double])
+  final case class AffBlock(from: Int, f: DenseMatrix, b: DenseMatrix)
 
-  /** CCD state row: embeddings + residuals for one node. */
-  final case class CcdRow(id: Int, xf: Array[Double], xb: Array[Double],
-                          sf: Array[Double], sb: Array[Double])
-
-  /** Column-block slice of the affinity recurrence output (public: Spark
-    * encoder codegen requires accessible case-class accessors).
+  /** CCD state of one node block (its rows of Xf, Xb, Sf, Sb; `st.y` is the
+    * Y of its last X-phase) and the Y-phase accumulator of its last sweep.
     */
-  final case class Slice(id: Int, block: Int, f: Array[Double], pbRow: Array[Double])
+  private[spark] type CcdBlocks = RDD[(Int, (SvdCcd.State, Array[Double]))]
 
-  /** Contiguous near-equal ranges — shared with ParallelPane so block
-    * boundaries (and therefore SVD seeds) line up between the two.
+  /** Distributed PAPMI: one [[AffBlock]] per node block of `ranges(n, nb)`,
+    * block i in partition i.
     */
-  private def ranges(size: Int, nb: Int): Seq[(Int, Int)] =
-    repro.core.ParallelPane.ranges(size, nb)
-
-  private def blockOf(id: Int, bounds: Array[Int]): Int = {
-    // bounds = exclusive upper bounds of each range, ascending
-    var lo = 0
-    var hi = bounds.length - 1
-    while (lo < hi) {
-      val mid = (lo + hi) / 2
-      if (id < bounds(mid)) hi = mid else lo = mid + 1
-    }
-    lo
-  }
-
-  /** Distributed PAPMI: returns one AffRow per node (all n nodes). */
   def papmi(g: AttributedGraph, alpha: Double, t: Int, nb: Int,
-            spark: SparkSession): Dataset[AffRow] = {
-    import spark.implicits._
+            spark: SparkSession): RDD[(Int, AffBlock)] = {
     val n = g.n
     val d = g.d
     val sc = spark.sparkContext
     val bcP = sc.broadcast(g.walkMatrix)
     val bcRr = sc.broadcast(g.attrRowNorm)
     val bcRc = sc.broadcast(g.attrColNorm)
-    val colBlocks = ranges(d, math.max(nb, math.min(d, sc.defaultParallelism * 2)))
-    val nodeBounds = ranges(n, nb).map(_._2).toArray
+    val colBlocks = ParallelPane.ranges(d, math.max(nb, math.min(d, sc.defaultParallelism * 2)))
+    val nodeBlocks = ParallelPane.ranges(n, nb)
 
-    val slices = spark.createDataset(colBlocks.zipWithIndex)
-      .repartition(colBlocks.length)
-      .flatMap { case ((from, until), bi) =>
+    val chunks = sc.parallelize(colBlocks.zipWithIndex, colBlocks.length).flatMap {
+      case ((from, until), ci) =>
         val p = bcP.value
         val w = until - from
         // Dense column slices of Rr / Rc restricted to [from, until).
@@ -127,244 +113,180 @@ object SparkPane extends Serializable {
           }
           i += 1
         }
-        (0 until n).iterator.map(id => Slice(id, bi, fP.row(id), pb.row(id)))
-      }
-
-    val widths = colBlocks.map { case (f, u) => u - f }.toArray
-    val offsets = widths.scanLeft(0)(_ + _)
-    slices.groupByKey(_.id).mapGroups { (id, it) =>
-      val f = new Array[Double](d)
-      val pbRow = new Array[Double](d)
-      it.foreach { s =>
-        System.arraycopy(s.f, 0, f, offsets(s.block), s.f.length)
-        System.arraycopy(s.pbRow, 0, pbRow, offsets(s.block), s.pbRow.length)
-      }
-      // B' needs the full row: row-normalize then SPMI (Alg 2 Lines 7-8).
-      var rs = 0.0
-      var j = 0
-      while (j < d) { rs += pbRow(j); j += 1 }
-      val b = new Array[Double](d)
-      j = 0
-      while (j < d) {
-        val hat = if (rs > 0) pbRow(j) / rs else 0.0
-        b(j) = math.log(d * hat + 1)
-        j += 1
-      }
-      AffRow(id, blockOf(id, nodeBounds), f, b)
+        nodeBlocks.iterator.zipWithIndex.map { case ((r0, r1), bi) =>
+          (bi, (ci, fP.rowSlice(r0, r1), pb.rowSlice(r0, r1)))
+        }
     }
+
+    chunks.groupByKey(new HashPartitioner(nodeBlocks.length)).mapPartitions(_.map {
+      case (bi, parts) =>
+        val (from, until) = nodeBlocks(bi)
+        val rows = until - from
+        val f = DenseMatrix.zeros(rows, d)
+        val pb = DenseMatrix.zeros(rows, d)
+        parts.foreach { case (ci, fc, pc) =>
+          val off = colBlocks(ci)._1
+          var i = 0
+          while (i < rows) {
+            System.arraycopy(fc.data, i * fc.cols, f.data, i * d + off, fc.cols)
+            System.arraycopy(pc.data, i * pc.cols, pb.data, i * d + off, pc.cols)
+            i += 1
+          }
+        }
+        // B' needs full rows: row-normalize then SPMI (Alg 2 Lines 7-8).
+        val b = DenseMatrix.zeros(rows, d)
+        var i = 0
+        while (i < rows) {
+          val off = i * d
+          var rs = 0.0
+          var j = 0
+          while (j < d) { rs += pb.data(off + j); j += 1 }
+          j = 0
+          while (j < d) {
+            val hat = if (rs > 0) pb.data(off + j) / rs else 0.0
+            b.data(off + j) = math.log(d * hat + 1)
+            j += 1
+          }
+          i += 1
+        }
+        (bi, AffBlock(from, f, b))
+    }, preservesPartitioning = true)
   }
 
-  /** Per-node output of SMGreedyInit stage 1 (public for encoder codegen);
-    * `vi` carries the block's flattened right factor on one row per block.
-    */
-  final case class Stage1(id: Int, part: Int, f: Array[Double], b: Array[Double],
-                          u: Array[Double], vi: Array[Double])
-
   /** Full distributed PANE. `nb` is the number of node/SVD blocks
-    * (defaults to the cluster parallelism).
+    * (defaults to the cluster parallelism). A k that does not fit the graph
+    * and nb fails before any job starts ([[PaneConfig.requireK]]).
     */
   def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig(),
             nbOpt: Option[Int] = None)(implicit spark: SparkSession): Embeddings = {
     val sc = spark.sparkContext
-    try embedStages(g, cfg, nbOpt.getOrElse(sc.defaultParallelism))
+    val nb = nbOpt.getOrElse(sc.defaultParallelism)
+    cfg.requireK(g.n, g.d, nb)
+    try embedStages(g, cfg, nb)
     finally sc.setJobDescription(null)
   }
 
   private def embedStages(g: AttributedGraph, cfg: PaneConfig, nb: Int)
                          (implicit spark: SparkSession): Embeddings = {
-    import spark.implicits._
     val sc = spark.sparkContext
     val half = cfg.k / 2
-    val n = g.n
-    val d = g.d
-    val t = cfg.t
 
     sc.setJobDescription("papmi")
-    val aff = papmi(g, cfg.alpha, t, nb, spark)
-      .repartition(nb, $"part")
-      .persist(StorageLevel.MEMORY_AND_DISK)
+    val aff = papmi(g, cfg.alpha, cfg.t, nb, spark).persist(StorageLevel.MEMORY_AND_DISK)
     aff.count()
 
-    // ---- SMGreedyInit stage 1: per-block RandSVD of F'[Vi] --------------
     sc.setJobDescription("sm-greedy-init")
-    val stage1 = aff.mapPartitions { rows =>
-      rows.toSeq.groupBy(_.part).iterator.flatMap { case (part, group) =>
-        val sorted = group.sortBy(_.id)
-        val fBlock = DenseMatrix.fromRows(sorted.map(_.f))
-        val (u, sig, v) = RandSvd(fBlock, half, t, seed = cfg.seed + part)
-        val vt = v.transpose // half × d
-        sorted.iterator.zipWithIndex.map { case (r, i) =>
-          val uRow = new Array[Double](half)
-          var j = 0
-          while (j < half) { uRow(j) = u(i, j) * sig(j); j += 1 }
-          Stage1(r.id, part, r.f, r.b, uRow, if (i == 0) vt.data else null)
-        }
-      }
-    }.persist(StorageLevel.MEMORY_AND_DISK)
-
-    // ---- merge SVD on the driver (Alg 7 Lines 4-6) ----------------------
-    val viByPart = stage1.filter(_.vi != null).map(s => (s.part, s.vi)).collect().sortBy(_._1)
-    val stacked = DenseMatrix.vstack(viByPart.map { case (_, data) => new DenseMatrix(half, d, data) }.toSeq)
-    val (phi, sig2, y0) = RandSvd(stacked, half, t, seed = cfg.seed + 9999)
-    val w = DenseMatrix.zeros(stacked.rows, half)
-    locally {
-      var i = 0
-      while (i < stacked.rows) {
-        var j = 0
-        while (j < half) { w(i, j) = phi(i, j) * sig2(j); j += 1 }
-        i += 1
-      }
-    }
-    // Parts may be non-contiguous ids if some blocks were empty; map part -> W slice.
-    val partIndex = viByPart.map(_._1).zipWithIndex.toMap
-    val bcW = sc.broadcast(w)
-    val bcPartIndex = sc.broadcast(partIndex)
-    val bcY0 = sc.broadcast(y0)
-
-    // ---- stage 2: per-row init of Xf, Xb, Sf, Sb (Alg 7 Lines 7-11) -----
-    var state = stage1.mapPartitions { rows =>
-      val wAll = bcW.value
-      val yv = bcY0.value
-      val kern = new SvdCcd.RowKernels(yv)
-      rows.map { s =>
-        val bi = bcPartIndex.value(s.part)
-        val xf = new Array[Double](half)
-        var l2 = 0
-        while (l2 < half) {
-          var acc = 0.0
-          var l = 0
-          while (l < half) { acc += s.u(l) * wAll(bi * half + l, l2); l += 1 }
-          xf(l2) = acc
-          l2 += 1
-        }
-        val xb = new Array[Double](half)
-        var l = 0
-        while (l < half) {
-          var acc = 0.0
-          var j = 0
-          while (j < d) { acc += s.b(j) * yv(j, l); j += 1 }
-          xb(l) = acc
-          l += 1
-        }
-        val sf = new Array[Double](d)
-        val sb = new Array[Double](d)
-        kern.residualRow(xf, 0, s.f, 0, sf, 0)
-        kern.residualRow(xb, 0, s.b, 0, sb, 0)
-        CcdRow(s.id, xf, xb, sf, sb)
-      }
-    }.persist(StorageLevel.MEMORY_AND_DISK)
-    state.count() // materialize before unpersisting parents
+    var (state, y) = smGreedyInit(aff, cfg.k, cfg.t, cfg.seed)
     aff.unpersist()
 
-    // ---- PSVDCCD iterations --------------------------------------------
-    var y = y0
-    var pendingDeltaT = Array.empty[Double]
-    val iters = cfg.refineIters
+    var deltaT = Array.emptyDoubleArray
     var it = 0
-    while (it < iters) {
+    while (it < cfg.refineIters) {
       sc.setJobDescription(s"ccd sweep $it")
-      val bcY = sc.broadcast(y)
-      val bcDeltaT = sc.broadcast(pendingDeltaT)
-      val prev = state
-      state = prev.mapPartitions { rows =>
-        val deltaT = bcDeltaT.value
-        val kern = new SvdCcd.RowKernels(bcY.value)
-        rows.map { row =>
-          // Patch residuals for the Y move of the previous iteration.
-          if (deltaT.nonEmpty) {
-            SvdCcd.rowPatch(row.xf, 0, half, deltaT, d, row.sf, 0)
-            SvdCcd.rowPatch(row.xb, 0, half, deltaT, d, row.sb, 0)
-          }
-          kern.nodeRow(row.xf, row.xb, 0, row.sf, row.sb, 0)
-          row
-        }
-      }.persist(StorageLevel.MEMORY_AND_DISK)
-
-      // Aggregate Gf, Gb, Hf, Hb over all rows in one flat array, copying
-      // four rows at a time into the contiguous layout attrGramRows reads.
-      val agg = state.mapPartitions { rows =>
-        val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
-        val (xf4, xb4) = (new Array[Double](4 * half), new Array[Double](4 * half))
-        val (sf4, sb4) = (new Array[Double](4 * d), new Array[Double](4 * d))
-        rows.grouped(4).foreach { group =>
-          group.iterator.zipWithIndex.foreach { case (r, q) =>
-            System.arraycopy(r.xf, 0, xf4, q * half, half)
-            System.arraycopy(r.xb, 0, xb4, q * half, half)
-            System.arraycopy(r.sf, 0, sf4, q * d, d)
-            System.arraycopy(r.sb, 0, sb4, q * d, d)
-          }
-          SvdCcd.attrGramRows(xf4, xb4, sf4, sb4, 0, d, group.length, half, d, acc)
-        }
-        Iterator.single(acc)
-      }.reduce { (a, b) =>
-        var i = 0
-        while (i < a.length) { a(i) += b(i); i += 1 }
-        a
-      }
-      prev.unpersist()
-
-      // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14),
-      // the same kernel SvdCcd.attrSweep runs on a column range.
-      val newY = y.copy
-      pendingDeltaT = SvdCcd.attrReplay(newY, agg, 0, d)
-      y = newY
+      val (next, nextY, nextDeltaT) = sweep(state, y, deltaT)
+      state = next
+      y = nextY
+      deltaT = nextDeltaT
       it += 1
     }
 
-    val rows = state.map(r => (r.id, r.xf, r.xb)).collect()
+    val xs = state.mapValues { case (st, _) => (st.xf, st.xb) }.collect()
     state.unpersist()
-    stage1.unpersist()
-    val xf = DenseMatrix.zeros(n, half)
-    val xb = DenseMatrix.zeros(n, half)
-    rows.foreach { case (id, xfr, xbr) =>
-      xf.setRow(id, xfr)
-      xb.setRow(id, xbr)
+    val xf = DenseMatrix.zeros(g.n, half)
+    val xb = DenseMatrix.zeros(g.n, half)
+    val nodeBlocks = ParallelPane.ranges(g.n, nb)
+    xs.foreach { case (bi, (xfB, xbB)) =>
+      System.arraycopy(xfB.data, 0, xf.data, nodeBlocks(bi)._1 * half, xfB.data.length)
+      System.arraycopy(xbB.data, 0, xb.data, nodeBlocks(bi)._1 * half, xbB.data.length)
     }
     Embeddings(xf, xb, y)
   }
 
-  /** Collect a distributed affinity Dataset back to dense matrices —
-    * used by tests to compare against the single-thread APMI.
+  /** SMGreedyInit (Alg 7) on the blocks of `aff`: the per-block split SVDs
+    * in one job, the merge on the driver, then the per-block init in a
+    * second job. Returns the materialized CCD blocks (block i in partition
+    * i, empty accumulators) and Y.
     */
-  def collectAffinity(aff: Dataset[AffRow], n: Int, d: Int): (DenseMatrix, DenseMatrix) = {
-    val f = DenseMatrix.zeros(n, d)
-    val b = DenseMatrix.zeros(n, d)
-    aff.collect().foreach { r =>
-      f.setRow(r.id, r.f)
-      b.setRow(r.id, r.b)
-    }
-    (f, b)
+  private[spark] def smGreedyInit(aff: RDD[(Int, AffBlock)], k: Int, svdIters: Int,
+                                  seed: Long): (CcdBlocks, DenseMatrix) = {
+    val sc = aff.sparkContext
+    val half = k / 2
+    val split = aff.mapPartitions(_.map { case (bi, a) =>
+      (bi, (a, ParallelPane.splitSvd(a.f, bi, half, svdIters, seed)))
+    }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK)
+    val vts = split.mapValues { case (_, (_, vt)) => vt }.collect().sortBy(_._1).map(_._2)
+    val (w, y) = ParallelPane.mergeSvd(vts.toSeq, half, svdIters, seed)
+    val bcW = sc.broadcast(w)
+    val bcY = sc.broadcast(y)
+    val state = split.mapPartitions(_.map { case (bi, (a, (ui, _))) =>
+      val rows = a.f.rows
+      val d = a.f.cols
+      val st = SvdCcd.State(DenseMatrix.zeros(rows, half), DenseMatrix.zeros(rows, half), bcY.value,
+        DenseMatrix.zeros(rows, d), DenseMatrix.zeros(rows, d))
+      ParallelPane.initBlock(st, a.f, a.b, 0, rows, ui, bcW.value, bi)
+      (bi, (st, Array.emptyDoubleArray))
+    }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK)
+    state.count() // materialize before unpersisting the parent
+    split.unpersist()
+    (state, y)
   }
 
-  /** One step of P·X as a pure DataFrame join-aggregate — the GraphX-style
-    * message-passing formulation of the recurrence, kept as the dataflow
-    * path for graphs too large to broadcast and cross-checked against the
-    * local sparse kernel in tests.
-    *
-    * @param walk  DataFrame (src, dst, w) of P
-    * @param x     DataFrame (id, vec) with vec: Array[Double]
+  /** One PSVDCCD sweep (Alg 8) in one job: per block, copy, apply the
+    * previous sweep's patch S −= X·ΔYᵀ (none when `deltaT` is empty), run the
+    * X-phase and fill the Y-phase accumulator; then, on the driver, sum the
+    * accumulators in block-id order and replay the Y-phase. Returns the
+    * materialized new blocks (the old ones are unpersisted), the new Y and
+    * the ΔYᵀ the next sweep applies.
     */
-  def propagateStep(walk: org.apache.spark.sql.DataFrame,
-                    x: org.apache.spark.sql.DataFrame,
-                    spark: SparkSession): org.apache.spark.sql.DataFrame = {
-    import spark.implicits._
-    val edges = walk.as[(Int, Int, Double)]
-    val vecs = x.as[(Int, Array[Double])]
-    edges.joinWith(vecs, edges("dst") === vecs("id"))
-      .map { case ((src, _, wgt), (_, vec)) =>
-        val out = new Array[Double](vec.length)
+  private[spark] def sweep(state: CcdBlocks, y: DenseMatrix,
+                           deltaT: Array[Double]): (CcdBlocks, DenseMatrix, Array[Double]) = {
+    val sc = state.sparkContext
+    val half = y.cols
+    val d = y.rows
+    val bcY = sc.broadcast(y)
+    val bcDeltaT = sc.broadcast(deltaT)
+    val next = state.mapValues { case (prev, _) =>
+      val st = SvdCcd.State(prev.xf.copy, prev.xb.copy, bcY.value, prev.sf.copy, prev.sb.copy)
+      val rows = st.xf.rows
+      val dT = bcDeltaT.value
+      if (dT.nonEmpty) {
         var i = 0
-        while (i < vec.length) { out(i) = wgt * vec(i); i += 1 }
-        (src, out)
+        while (i < rows) {
+          SvdCcd.rowPatch(st.xf.data, i * half, half, dT, d, st.sf.data, i * d)
+          SvdCcd.rowPatch(st.xb.data, i * half, half, dT, d, st.sb.data, i * d)
+          i += 1
+        }
       }
-      .groupByKey(_._1)
-      .reduceGroups { (a, b) =>
-        val v = a._2
-        var i = 0
-        while (i < v.length) { v(i) += b._2(i); i += 1 }
-        a
-      }
-      .map { case (id, (_, vec)) => (id, vec) }
-      .toDF("id", "vec")
+      SvdCcd.nodeSweep(st, 0, rows)
+      val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
+      SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, 0, d, rows, half, d, acc)
+      (st, acc)
+    }.persist(StorageLevel.MEMORY_AND_DISK)
+    val accs = next.mapValues(_._2).collect().sortBy(_._1).map(_._2)
+    state.unpersist()
+
+    // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14),
+    // the same kernel SvdCcd.attrSweep runs on a column range.
+    val agg = accs.head.clone()
+    accs.iterator.drop(1).foreach { a =>
+      var i = 0
+      while (i < agg.length) { agg(i) += a(i); i += 1 }
+    }
+    val newY = y.copy
+    val newDeltaT = SvdCcd.attrReplay(newY, agg, 0, d)
+    (next, newY, newDeltaT)
+  }
+
+  /** Collect distributed affinity blocks back to dense matrices — used by
+    * tests to compare against the single-thread APMI.
+    */
+  def collectAffinity(aff: RDD[(Int, AffBlock)], n: Int, d: Int): (DenseMatrix, DenseMatrix) = {
+    val f = DenseMatrix.zeros(n, d)
+    val b = DenseMatrix.zeros(n, d)
+    aff.values.collect().foreach { a =>
+      System.arraycopy(a.f.data, 0, f.data, a.from * d, a.f.data.length)
+      System.arraycopy(a.b.data, 0, b.data, a.from * d, a.b.data.length)
+    }
+    (f, b)
   }
 }

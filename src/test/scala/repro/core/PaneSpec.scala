@@ -16,6 +16,15 @@ class PaneSpec extends AnyFunSuite {
     assert(PaneConfig(alpha = 0.5, eps = 0.015, ccdIters = Some(3)).refineIters == 3)
   }
 
+  test("embed rejects a bad k before any work starts, naming k, n, d and nb") {
+    val tiny = Fixtures.tiny // n = 120, d = 24
+    for (kBad <- Seq(7, 0, -2, 50)) {
+      val msg = intercept[IllegalArgumentException](Pane.embed(tiny, PaneConfig(k = kBad))).getMessage
+      for (part <- Seq(s"k = $kBad", "n = 120", "d = 24", "nb = 1")) assert(msg.contains(part), msg)
+    }
+    PaneConfig(k = 48).requireK(120, 24, 1) // k = 2·min(n, d) fits
+  }
+
   test("embed returns finite embeddings of the requested budget") {
     val e = Pane.embed(g, cfg)
     assert(e.k == 16)

@@ -115,6 +115,16 @@ class ParallelPaneSpec extends AnyFunSuite {
     assert(op <= os * 1.1, s"parallel end-to-end objective $op vs single $os")
   }
 
+  test("embed rejects a bad k before any pool task starts, naming k, n, d and nb") {
+    val tiny = Fixtures.tiny // n = 120, d = 24
+    // (8, 40): blocks of 3 rows cannot hold a rank-4 split SVD.
+    for ((kBad, nb) <- Seq((7, 4), (0, 4), (50, 4), (8, 40))) {
+      val msg = intercept[IllegalArgumentException](ParallelPane.embed(tiny, PaneConfig(k = kBad), nb)).getMessage
+      for (part <- Seq(s"k = $kBad", "n = 120", "d = 24", s"nb = $nb")) assert(msg.contains(part), msg)
+    }
+    PaneConfig(k = 6).requireK(120, 24, 40) // k/2 = 3 rows fits the smallest block
+  }
+
   test("parallel embed is deterministic for a fixed nb") {
     val cfg = PaneConfig(k = 8)
     val a = ParallelPane.embed(Fixtures.tiny, cfg, nb = 3)

@@ -36,52 +36,6 @@ class SparkGraphSpec extends SparkSpec {
       "attrs" -> attrs)
   }
 
-  test("walkEdges matches the local walk matrix exactly") {
-    val local = g.walkMatrix
-    val rows = SparkGraph.walkEdges(g, spark).collect()
-    assert(rows.length == local.nnz)
-    rows.foreach { r =>
-      val (src, dst, w) = (r.getInt(0), r.getInt(1), r.getDouble(2))
-      val dense = local.toDense
-      assert(math.abs(dense(src, dst) - w) < 1e-12, s"P[$src,$dst]")
-    }
-  }
-
-  test("walkEdges rows are stochastic (DataFrame aggregation)") {
-    val sums = SparkGraph.walkEdges(g, spark).groupBy("src").agg(sum("w") as "s").collect()
-    assert(sums.length == g.n)
-    sums.foreach(r => assert(math.abs(r.getDouble(1) - 1.0) < 1e-9))
-  }
-
-  test("walkEdges adds self-loops for dangling nodes") {
-    val gd = Fixtures.figure1NoAttrs
-    val rows = SparkGraph.walkEdges(gd, spark).collect()
-    assert(rows.exists(r => r.getInt(0) == 5 && r.getInt(1) == 5 && r.getDouble(2) == 1.0))
-  }
-
-  test("attrRowNorm matches the DuckDB window-normalization query") {
-    val attrs = g.attrDF(spark)
-    val rr = SparkGraph.attrRowNorm(g, spark)
-    Oracle.assertEquivalent(rr,
-      "SELECT node, attr, weight::DOUBLE / sum(weight::DOUBLE) OVER (PARTITION BY node) AS w FROM attrs",
-      "attrs" -> attrs)
-  }
-
-  test("attrColNorm matches the DuckDB window-normalization query") {
-    val attrs = g.attrDF(spark)
-    val rc = SparkGraph.attrColNorm(g, spark)
-    Oracle.assertEquivalent(rc,
-      "SELECT node, attr, weight::DOUBLE / sum(weight::DOUBLE) OVER (PARTITION BY attr) AS w FROM attrs",
-      "attrs" -> attrs)
-  }
-
-  test("attrRowNorm agrees with the local sparse normalization") {
-    val local = g.attrRowNorm.toDense
-    SparkGraph.attrRowNorm(g, spark).collect().foreach { r =>
-      assert(math.abs(local(r.getInt(0), r.getInt(1)) - r.getDouble(2)) < 1e-12)
-    }
-  }
-
   test("Table 3 stats run for a catalog dataset") {
     val s = SparkGraph.stats(Datasets.load(Datasets.cora), spark)
     assert(s.name == "cora-lite" && s.n == 2708 && s.d == 400 && s.labels == 7)

@@ -1,10 +1,11 @@
 package repro.spark
 
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import repro.{Fixtures, SparkSpec}
-import repro.core.{Apmi, Pane, PaneConfig, ParallelPane, SvdCcd}
+import repro.core.{Apmi, Pane, PaneConfig, ParallelPane}
 import repro.eval.Tasks
-import repro.linalg.DenseMatrix
 
 class SparkPaneSpec extends SparkSpec {
 
@@ -13,6 +14,30 @@ class SparkPaneSpec extends SparkSpec {
   private val alpha = 0.5
   private val t = 5
   private val k = 16
+
+  /** Descriptions of the jobs `body` starts ("" for a job without one). */
+  private def jobDescriptions(body: => Unit): Seq[String] = {
+    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        seen.add(Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).getOrElse(""))
+    }
+    val sc = spark.sparkContext
+    sc.addSparkListener(listener)
+    try {
+      body
+      // The bus delivers events in order: once the marker job is seen, so is every earlier job.
+      sc.setJobDescription("marker")
+      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
+      val deadline = System.nanoTime() + 30e9.toLong
+      while (!seen.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
+    } finally sc.removeSparkListener(listener)
+    seen.toArray.toSeq.map(_.toString).filter(_ != "marker")
+  }
+
+  /** (partition index, block ids it holds), in partition order. */
+  private def placement[A](rdd: RDD[(Int, A)]): Seq[(Int, List[Int])] =
+    rdd.mapPartitionsWithIndex((p, it) => Iterator((p, it.map(_._1).toList))).collect().toSeq.sortBy(_._1)
 
   test("distributed PAPMI equals single-thread APMI (Lemma 4.1 on partitions)") {
     val single = Apmi.run(g, alpha, t)
@@ -25,24 +50,24 @@ class SparkPaneSpec extends SparkSpec {
   test("distributed PAPMI covers all n nodes including attribute-poor ones") {
     val gd = Fixtures.figure1NoAttrs
     val aff = SparkPane.papmi(gd, 0.15, 10, nb = 2, spark)
-    assert(aff.count() == gd.n)
+    val tiles = aff.values.map(a => (a.from, a.from + a.f.rows, a.b.rows)).collect().toSeq.sortBy(_._1)
+    assert(tiles == ParallelPane.ranges(gd.n, 2).map { case (from, until) => (from, until, until - from) })
   }
 
-  test("propagateStep (join-aggregate dataflow) equals the local sparse product") {
-    import spark.implicits._
-    val p = g.walkMatrix
-    val x = DenseMatrix.randn(g.n, 4, 3L)
-    val xDF = (0 until g.n).map(i => (i, x.row(i))).toDF("id", "vec")
-    val walk = SparkGraph.walkEdges(g, spark)
-    val result = SparkPane.propagateStep(walk, xDF, spark).collect()
-    val expected = p * x
-    // Only nodes with at least one out-entry appear; check values.
-    result.foreach { r =>
-      val id = r.getInt(0)
-      val vec = r.getSeq[Double](1)
-      for (j <- 0 until 4) assert(math.abs(vec(j) - expected(id, j)) < 1e-9)
+  test("partition i holds exactly node block i after PAPMI and after a sweep") {
+    for (nb <- Seq(2, 3, 4, 8)) {
+      val expected = (0 until nb).map(i => (i, List(i)))
+      val aff = SparkPane.papmi(g, alpha, t, nb, spark).cache()
+      assert(placement(aff) == expected, s"PAPMI blocks at nb=$nb")
+      val rows = aff.mapValues(a => (a.from, a.from + a.f.rows)).collect().toSeq.sortBy(_._1).map(_._2)
+      assert(rows == ParallelPane.ranges(g.n, nb), s"block rows at nb=$nb")
+      val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+      aff.unpersist()
+      assert(placement(state) == expected, s"SMGreedyInit blocks at nb=$nb")
+      val (next, _, _) = SparkPane.sweep(state, y, Array.emptyDoubleArray)
+      assert(placement(next) == expected, s"sweep blocks at nb=$nb")
+      next.unpersist()
     }
-    assert(result.length == g.n) // every node has an out-entry (self-loop for dangling)
   }
 
   test("distributed embed matches the thread-pool ParallelPane closely") {
@@ -50,12 +75,13 @@ class SparkPaneSpec extends SparkSpec {
     val nb = 4
     val local = ParallelPane.embed(g, cfg, nb)
     val dist = SparkPane.embed(g, cfg, Some(nb))
-    val aff = Apmi.run(g, cfg.alpha, cfg.t)
-    val ol = SvdCcd.objective(aff.fPrime, aff.bPrime, local)
-    val od = SvdCcd.objective(aff.fPrime, aff.bPrime, dist)
-    // Same block structure and seeds; only fp summation order differs in
-    // the Y-phase aggregates, so objectives should be nearly identical.
-    assert(math.abs(ol - od) / ol < 0.02, s"objectives differ: local $ol vs dist $od")
+    // Same blocks, seeds and kernels; only the summation order of the
+    // Y-phase accumulators differs (per block on Spark, per attribute block
+    // in the pool).
+    for ((name, l, d) <- Seq(("Xf", local.xf, dist.xf), ("Xb", local.xb, dist.xb), ("Y", local.y, dist.y))) {
+      val diff = (l - d).maxAbs
+      assert(diff <= 1e-12 * l.maxAbs, s"$name differs by $diff (max-abs ${l.maxAbs})")
+    }
   }
 
   test("distributed embed quality: attribute inference on par with single-thread") {
@@ -78,31 +104,32 @@ class SparkPaneSpec extends SparkSpec {
   }
 
   test("each stage runs under its job description, cleared when embed returns") {
-    val seen = new java.util.concurrent.ConcurrentLinkedQueue[String]()
-    val listener = new org.apache.spark.scheduler.SparkListener {
-      override def onJobStart(e: org.apache.spark.scheduler.SparkListenerJobStart): Unit =
-        Option(e.properties).flatMap(p => Option(p.getProperty("spark.job.description"))).foreach(seen.add)
-    }
-    val sc = spark.sparkContext
-    sc.addSparkListener(listener)
-    try {
+    val descs = jobDescriptions {
       SparkPane.embed(Fixtures.tiny, PaneConfig(k = 8), Some(2))
-      assert(sc.getLocalProperty("spark.job.description") == null)
-      // The bus delivers events in order: once the marker job is seen, so is every earlier job.
-      sc.setJobDescription("marker")
-      try sc.parallelize(Seq(1), 1).count() finally sc.setJobDescription(null)
-      val deadline = System.nanoTime() + 30e9.toLong
-      while (!seen.contains("marker") && System.nanoTime() < deadline) Thread.sleep(10)
-    } finally sc.removeSparkListener(listener)
-    val descs = seen.toArray.toSeq.map(_.toString).distinct.filter(_ != "marker")
+      assert(spark.sparkContext.getLocalProperty("spark.job.description") == null)
+    }.distinct
     val sweeps = (0 until PaneConfig(k = 8).refineIters).map(i => s"ccd sweep $i")
     assert(descs == Seq("papmi", "sm-greedy-init") ++ sweeps, descs)
   }
 
   test("distributed embed is deterministic for fixed nb") {
-    val a = SparkPane.embed(Fixtures.tiny, PaneConfig(k = 8), Some(2))
-    val b = SparkPane.embed(Fixtures.tiny, PaneConfig(k = 8), Some(2))
-    assert((a.y - b.y).maxAbs < 1e-12)
-    assert((a.xf - b.xf).maxAbs < 1e-12)
+    val cfg = PaneConfig(k = k)
+    val a = SparkPane.embed(g, cfg, Some(4))
+    val b = SparkPane.embed(g, cfg, Some(4))
+    assert((a.xf - b.xf).maxAbs == 0.0)
+    assert((a.xb - b.xb).maxAbs == 0.0)
+    assert((a.y - b.y).maxAbs == 0.0)
+  }
+
+  test("embed rejects a bad k before any Spark job starts") {
+    val tiny = Fixtures.tiny // n = 120, d = 24
+    for ((kBad, nb) <- Seq((7, 2), (0, 2), (50, 2), (8, 40))) {
+      var msg = ""
+      val descs = jobDescriptions {
+        msg = intercept[IllegalArgumentException](SparkPane.embed(tiny, PaneConfig(k = kBad), Some(nb))).getMessage
+      }
+      assert(descs.isEmpty, s"k = $kBad, nb = $nb started jobs $descs")
+      for (part <- Seq(s"k = $kBad", "n = 120", "d = 24", s"nb = $nb")) assert(msg.contains(part), msg)
+    }
   }
 }
