@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.Apmi
 import repro.graph.AttributedGraph
 import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
 
@@ -43,14 +44,8 @@ object CanLite {
             seed: Long = 42L): Model = {
     // Symmetrize the graph (CAN cannot use direction).
     val sym = g.withEdges(g.src ++ g.dst, g.dst ++ g.src)
-    val p = sym.walkMatrix
-    val rr = sym.attrRowNorm.toDense
-    var cur = rr.copy
-    var l = 0
-    while (l < t) {
-      cur = (p * cur).zipWith(rr, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-      l += 1
-    }
+    // PANE's forward recurrence, t hops.
+    val cur = DenseMatrix.fromRows(Apmi.propagate(sym.walkMatrix, sym.attrRowNorm, alpha, t, 0, g.d).toSeq)
     // Raw walk probabilities — deliberately no SPMI transform.
     val (u, sig, v) = RandSvd(cur, k / 2, 6, seed = seed)
     val x = DenseMatrix.zeros(g.n, k / 2)

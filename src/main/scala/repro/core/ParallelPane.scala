@@ -41,65 +41,28 @@ object ParallelPane {
     }.filter(r => r._2 > r._1)
   }
 
-  /** Algorithm 6 — PAPMI: block-parallel affinity approximation. */
+  /** Algorithm 6 — PAPMI: block-parallel affinity approximation. Each
+    * attribute-column block runs [[Apmi.propagate]] forward (finalized to F'
+    * in-block by [[Apmi.spmiCols]]) and backward over Pᵀ, writing its
+    * columns of F' and P_b^{(t)}; node blocks then row-normalize B' in place
+    * ([[Apmi.spmiRows]]). The same kernels as [[Apmi.run]], so the result
+    * equals it bit for bit (Lemma 4.1).
+    */
   def papmi(p: SparseMatrix, rr: SparseMatrix, rc: SparseMatrix,
             alpha: Double, t: Int, nb: Int): (DenseMatrix, DenseMatrix) = {
     val n = p.rows
     val d = rr.cols
-    val pf0 = rr.toDense
-    val pb0 = rc.toDense
-    val attrBlocks = ranges(d, nb)
-    // Per-block iteration on column slices; concatenation is implicit: the
-    // blocks write into shared output matrices at their own column ranges
-    // (disjoint writes — no synchronization needed).
-    val pf = DenseMatrix.zeros(n, d)
-    val pb = DenseMatrix.zeros(n, d)
-    runAll(nb, attrBlocks.map { case (from, until) =>
-      () => {
-        val w = until - from
-        val base0f = pf0.colSlice(from, until)
-        val base0b = pb0.colSlice(from, until)
-        var curF = base0f.copy
-        var curB = base0b.copy
-        var l = 1
-        while (l <= t) {
-          curF = (p * curF).zipWith(base0f, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          curB = p.tMul(curB).zipWith(base0b, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          l += 1
-        }
-        var i = 0
-        while (i < n) {
-          System.arraycopy(curF.data, i * w, pf.data, i * d + from, w)
-          System.arraycopy(curB.data, i * w, pb.data, i * d + from, w)
-          i += 1
-        }
-      }
-    })
-    // Normalization + SPMI, parallel over node blocks (Alg 6 Lines 9-13).
-    val colSumsF = pf.colSums
+    val pT = Apmi.transposeCsr(p)
+    // Column blocks write disjoint columns of the shared outputs.
     val fP = DenseMatrix.zeros(n, d)
     val bP = DenseMatrix.zeros(n, d)
-    runAll(nb, ranges(n, nb).map { case (from, until) =>
+    runAll(nb, ranges(d, nb).map { case (from, until) =>
       () => {
-        var i = from
-        while (i < until) {
-          val off = i * d
-          var rowSumB = 0.0
-          var j = 0
-          while (j < d) { rowSumB += pb.data(off + j); j += 1 }
-          j = 0
-          while (j < d) {
-            val cf = colSumsF(j)
-            val hatF = if (cf > 0) pf.data(off + j) / cf else 0.0
-            val hatB = if (rowSumB > 0) pb.data(off + j) / rowSumB else 0.0
-            fP.data(off + j) = math.log(n * hatF + 1)
-            bP.data(off + j) = math.log(d * hatB + 1)
-            j += 1
-          }
-          i += 1
-        }
+        Apmi.stitch(Apmi.spmiCols(Apmi.propagate(p, rr, alpha, t, from, until)), fP, from)
+        Apmi.stitch(Apmi.propagate(pT, rc, alpha, t, from, until), bP, from)
       }
     })
+    runAll(nb, ranges(n, nb).map { case (from, until) => () => Apmi.spmiRows(bP, from, until) })
     (fP, bP)
   }
 

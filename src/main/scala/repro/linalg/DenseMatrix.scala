@@ -5,9 +5,11 @@ import scala.util.Random
 /** Row-major dense matrix of doubles.
   *
   * This is the workhorse for all O(n·d) intermediates in PANE (affinity
-  * matrices, embeddings, residuals). Kernels are plain JVM loops, blocked
-  * where it matters (GEMM); at reproduction scale (n ≤ 1e5, d ≤ 2e3,
-  * k ≤ 256) this is comfortably fast and has no native dependencies.
+  * matrices, embeddings, residuals). Kernels are plain JVM loops; the
+  * products stage rows in scratch arrays so every inner loop reads its
+  * arrays at one index (DESIGN.md §2, kernel shape). At reproduction scale
+  * (n ≤ 1e5, d ≤ 2e3, k ≤ 256) this is comfortably fast and has no native
+  * dependencies.
   */
 final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) extends LinOp {
   require(data.length == rows.toLong * cols, s"data length ${data.length} != $rows x $cols")
@@ -34,50 +36,67 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
 
   def copy: DenseMatrix = new DenseMatrix(rows, cols, data.clone())
 
-  /** C = this * B, blocked i-k-j GEMM (cache friendly: streams B rows). */
+  /** C = this * B in i-k-j order. Each C row is accumulated in a scratch
+    * row, t += aik·B[k], over B split into row arrays, so every array in
+    * the inner loop is read at the same index (the form C2 vectorises),
+    * then copied into C. Same order and zero skip as the flat loop, so
+    * the result is bit-identical to it.
+    */
   def *(b: DenseMatrix): DenseMatrix = {
     require(cols == b.rows, s"dim mismatch: ($rows x $cols) * (${b.rows} x ${b.cols})")
     val c = DenseMatrix.zeros(rows, b.cols)
     val bc = b.cols
+    val bRows = Array.tabulate(b.rows)(b.row)
+    val t = new Array[Double](bc)
     var i = 0
     while (i < rows) {
-      val cOff = i * bc
+      java.util.Arrays.fill(t, 0.0)
+      val aOff = i * cols
       var k = 0
       while (k < cols) {
-        val aik = data(i * cols + k)
+        val aik = data(aOff + k)
         if (aik != 0.0) {
-          val bOff = k * bc
+          val bk = bRows(k)
           var j = 0
-          while (j < bc) { c.data(cOff + j) += aik * b.data(bOff + j); j += 1 }
+          while (j < bc) { t(j) += aik * bk(j); j += 1 }
         }
         k += 1
       }
+      System.arraycopy(t, 0, c.data, i * bc, bc)
       i += 1
     }
     c
   }
 
-  /** C = thisᵀ * B without materializing the transpose. */
+  /** C = thisᵀ * B without materializing the transpose. B's row i is
+    * copied to a scratch row t and added into C's rows, held as row
+    * arrays, C[k] += aik·t, so the inner loop reads every array at the
+    * same index; C is flattened at the end. Bit-identical to the flat loop.
+    */
   def tMul(b: DenseMatrix): DenseMatrix = {
     require(rows == b.rows, s"dim mismatch: ($rows x $cols)ᵀ * (${b.rows} x ${b.cols})")
-    val c = DenseMatrix.zeros(cols, b.cols)
     val bc = b.cols
+    val cRows = Array.fill(cols)(new Array[Double](bc))
+    val t = new Array[Double](bc)
     var i = 0
     while (i < rows) {
+      System.arraycopy(b.data, i * bc, t, 0, bc)
       val aOff = i * cols
-      val bOff = i * bc
       var k = 0
       while (k < cols) {
         val aik = data(aOff + k)
         if (aik != 0.0) {
-          val cOff = k * bc
+          val ck = cRows(k)
           var j = 0
-          while (j < bc) { c.data(cOff + j) += aik * b.data(bOff + j); j += 1 }
+          while (j < bc) { ck(j) += aik * t(j); j += 1 }
         }
         k += 1
       }
       i += 1
     }
+    val c = DenseMatrix.zeros(cols, bc)
+    var k = 0
+    while (k < cols) { System.arraycopy(cRows(k), 0, c.data, k * bc, bc); k += 1 }
     c
   }
 

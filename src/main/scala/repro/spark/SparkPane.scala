@@ -5,9 +5,9 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
 
-import repro.core.{Embeddings, PaneConfig, ParallelPane, SvdCcd}
+import repro.core.{Apmi, Embeddings, PaneConfig, ParallelPane, SvdCcd}
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, SparseMatrix}
+import repro.linalg.DenseMatrix
 
 /** Distributed-dataflow PANE (the paper's Section 4, with Spark partitions
   * playing the role of threads). Partition i holds node block i of
@@ -18,12 +18,14 @@ import repro.linalg.{DenseMatrix, SparseMatrix}
   * block kernels as the thread pool ([[ParallelPane]]).
   *
   *  - **PAPMI** (Alg 6): attribute-column blocks are the unit of
-  *    parallelism. The sparse walk matrix P is broadcast (the dataflow
-  *    analog of the paper's shared memory); each task runs the affinity
-  *    recurrence for its column slice, finalizes F' in-block (column
-  *    normalization is block-local) and emits one chunk per node block. A
-  *    partition stitches its chunks into F'[Vi] and P̂b[Vi], then
-  *    row-normalizes B'[Vi].
+  *    parallelism. The sparse walk matrix P and its transpose are
+  *    broadcast (the dataflow analog of the paper's shared memory); each
+  *    task runs [[Apmi.propagate]] for its column slice, finalizes F'
+  *    in-block (column normalization is block-local) and emits one chunk
+  *    per node block. A partition stitches its chunks into F'[Vi] and
+  *    P_b[Vi], then row-normalizes B'[Vi] in place, with the same kernels
+  *    as [[Apmi.run]], so F' and B' equal the single-thread APMI bit for
+  *    bit.
   *  - **SMGreedyInit** (Alg 7): [[ParallelPane.splitSvd]] on each block's
   *    F'[Vi], [[ParallelPane.mergeSvd]] on the driver, and
   *    [[ParallelPane.initBlock]] per block, as in the pool.
@@ -65,6 +67,7 @@ object SparkPane extends Serializable {
     val d = g.d
     val sc = spark.sparkContext
     val bcP = sc.broadcast(g.walkMatrix)
+    val bcPT = sc.broadcast(Apmi.transposeCsr(g.walkMatrix))
     val bcRr = sc.broadcast(g.attrRowNorm)
     val bcRc = sc.broadcast(g.attrColNorm)
     val colBlocks = ParallelPane.ranges(d, math.max(nb, math.min(d, sc.defaultParallelism * 2)))
@@ -72,49 +75,11 @@ object SparkPane extends Serializable {
 
     val chunks = sc.parallelize(colBlocks.zipWithIndex, colBlocks.length).flatMap {
       case ((from, until), ci) =>
-        val p = bcP.value
-        val w = until - from
-        // Dense column slices of Rr / Rc restricted to [from, until).
-        def slice(m: SparseMatrix): DenseMatrix = {
-          val out = DenseMatrix.zeros(n, w)
-          var i = 0
-          while (i < n) {
-            var q = m.rowPtr(i)
-            while (q < m.rowPtr(i + 1)) {
-              val c = m.colIdx(q)
-              if (c >= from && c < until) out(i, c - from) = out(i, c - from) + m.values(q)
-              q += 1
-            }
-            i += 1
-          }
-          out
-        }
-        val pf0 = slice(bcRr.value)
-        val pb0 = slice(bcRc.value)
-        var pf = pf0.copy
-        var pb = pb0.copy
-        var l = 1
-        while (l <= t) {
-          pf = (p * pf).zipWith(pf0, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          pb = p.tMul(pb).zipWith(pb0, (pv, bv) => (1 - alpha) * pv + alpha * bv)
-          l += 1
-        }
         // F' is finalized in-block: its normalizer is a column sum.
-        val cs = pf.colSums
-        val fP = DenseMatrix.zeros(n, w)
-        var i = 0
-        while (i < n) {
-          var j = 0
-          while (j < w) {
-            val s = cs(j)
-            val hat = if (s > 0) pf(i, j) / s else 0.0
-            fP(i, j) = math.log(n * hat + 1)
-            j += 1
-          }
-          i += 1
-        }
+        val fP = Apmi.spmiCols(Apmi.propagate(bcP.value, bcRr.value, alpha, t, from, until))
+        val pb = Apmi.propagate(bcPT.value, bcRc.value, alpha, t, from, until)
         nodeBlocks.iterator.zipWithIndex.map { case ((r0, r1), bi) =>
-          (bi, (ci, fP.rowSlice(r0, r1), pb.rowSlice(r0, r1)))
+          (bi, (ci, fP.slice(r0, r1), pb.slice(r0, r1)))
         }
     }
 
@@ -123,32 +88,13 @@ object SparkPane extends Serializable {
         val (from, until) = nodeBlocks(bi)
         val rows = until - from
         val f = DenseMatrix.zeros(rows, d)
-        val pb = DenseMatrix.zeros(rows, d)
+        val b = DenseMatrix.zeros(rows, d)
         parts.foreach { case (ci, fc, pc) =>
-          val off = colBlocks(ci)._1
-          var i = 0
-          while (i < rows) {
-            System.arraycopy(fc.data, i * fc.cols, f.data, i * d + off, fc.cols)
-            System.arraycopy(pc.data, i * pc.cols, pb.data, i * d + off, pc.cols)
-            i += 1
-          }
+          Apmi.stitch(fc, f, colBlocks(ci)._1)
+          Apmi.stitch(pc, b, colBlocks(ci)._1)
         }
         // B' needs full rows: row-normalize then SPMI (Alg 2 Lines 7-8).
-        val b = DenseMatrix.zeros(rows, d)
-        var i = 0
-        while (i < rows) {
-          val off = i * d
-          var rs = 0.0
-          var j = 0
-          while (j < d) { rs += pb.data(off + j); j += 1 }
-          j = 0
-          while (j < d) {
-            val hat = if (rs > 0) pb.data(off + j) / rs else 0.0
-            b.data(off + j) = math.log(d * hat + 1)
-            j += 1
-          }
-          i += 1
-        }
+        Apmi.spmiRows(b, 0, rows)
         (bi, AffBlock(from, f, b))
     }, preservesPartitioning = true)
   }

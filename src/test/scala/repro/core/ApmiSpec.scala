@@ -74,17 +74,69 @@ class ApmiSpec extends AnyFunSuite {
     assert(res.bPrime.data.forall(v => v >= 0 && java.lang.Double.isFinite(v)))
   }
 
+  /** P̂f (columns of Pf scaled to sum 1) and P̂b (rows of Pb scaled to sum 1). */
+  private def normalized(pf: DenseMatrix, pb: DenseMatrix): (DenseMatrix, DenseMatrix) = {
+    val cs = pf.colSums
+    val rs = pb.rowSums
+    val hatF = DenseMatrix.zeros(pf.rows, pf.cols)
+    val hatB = DenseMatrix.zeros(pb.rows, pb.cols)
+    for (i <- 0 until pf.rows; j <- 0 until pf.cols) {
+      hatF(i, j) = if (cs(j) > 0) pf(i, j) / cs(j) else 0.0
+      hatB(i, j) = if (rs(i) > 0) pb(i, j) / rs(i) else 0.0
+    }
+    (hatF, hatB)
+  }
+
   test("normalized P-hat matrices are column-/row-stochastic") {
-    val res = Apmi.run(g, alpha, t = 6)
-    res.pf.colSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
-    res.pb.rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
+    val (hatF, hatB) = (normalized _).tupled(Apmi.truncatedDistributions(g, alpha, t = 6))
+    hatF.colSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
+    hatB.rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
   }
 
   test("F' equals log(n * P-hat + 1) exactly") {
     val res = Apmi.run(g, alpha, t = 6)
+    val (hatF, hatB) = (normalized _).tupled(Apmi.truncatedDistributions(g, alpha, t = 6))
     for (i <- 0 until g.n; j <- 0 until g.d) {
-      assert(math.abs(res.fPrime(i, j) - math.log(g.n * res.pf(i, j) + 1)) < 1e-12)
-      assert(math.abs(res.bPrime(i, j) - math.log(g.d * res.pb(i, j) + 1)) < 1e-12)
+      assert(math.abs(res.fPrime(i, j) - math.log(g.n * hatF(i, j) + 1)) < 1e-12)
+      assert(math.abs(res.bPrime(i, j) - math.log(g.d * hatB(i, j) + 1)) < 1e-12)
+    }
+  }
+
+  /** The dense recurrence `propagate` replaced, kept as its oracle:
+    * X ← (1−α)·step(X) + α·R0, from X = R0, t times.
+    */
+  private def denseRecurrence(step: DenseMatrix => DenseMatrix, r0: DenseMatrix, t: Int): DenseMatrix = {
+    var x = r0.copy
+    for (_ <- 1 to t) x = step(x).zipWith(r0, (pv, bv) => (1 - alpha) * pv + alpha * bv)
+    x
+  }
+
+  test("propagate equals the dense (P * X).zipWith recurrence bit for bit, full range and column blocks") {
+    // figure1NoAttrs has a dangling node (5) and attribute-less nodes (0, 1).
+    for ((gr, t) <- Seq(Fixtures.figure1NoAttrs -> 10, Fixtures.mid -> 5)) {
+      val p = gr.walkMatrix
+      val pT = Apmi.transposeCsr(p)
+      val fwd = denseRecurrence(p * _, gr.attrRowNorm.toDense, t)
+      val bwd = denseRecurrence(p.tMul(_), gr.attrColNorm.toDense, t)
+      for ((from, until) <- Seq((0, gr.d), (1, gr.d - 1), (gr.d / 2, gr.d / 2 + 1))) {
+        val f = DenseMatrix.fromRows(Apmi.propagate(p, gr.attrRowNorm, alpha, t, from, until).toSeq)
+        val b = DenseMatrix.fromRows(Apmi.propagate(pT, gr.attrColNorm, alpha, t, from, until).toSeq)
+        assert((f - fwd.colSlice(from, until)).maxAbs == 0.0, s"${gr.name} forward [$from, $until)")
+        assert((b - bwd.colSlice(from, until)).maxAbs == 0.0, s"${gr.name} backward [$from, $until)")
+      }
+    }
+  }
+
+  test("transposeCsr equals the dense transpose and lists each row's sources in ascending order") {
+    for (gr <- Seq(Fixtures.figure1NoAttrs, Fixtures.mid)) {
+      val p = gr.walkMatrix
+      val pT = Apmi.transposeCsr(p)
+      assert(pT.rows == p.cols && pT.cols == p.rows && pT.nnz == p.nnz)
+      assert((pT.toDense - p.toDense.transpose).maxAbs == 0.0, gr.name)
+      for (j <- 0 until pT.rows) {
+        val srcs = pT.colIdx.slice(pT.rowPtr(j), pT.rowPtr(j + 1)).toSeq
+        assert(srcs == srcs.sorted && srcs.distinct == srcs, s"${gr.name} row $j: $srcs")
+      }
     }
   }
 

@@ -29,8 +29,8 @@ class ParallelPaneSpec extends AnyFunSuite {
     val single = Apmi.run(g, alpha, t)
     for (nb <- Seq(1, 2, 4, 7)) {
       val (f, b) = ParallelPane.papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, alpha, t, nb)
-      assert((f - single.fPrime).maxAbs < 1e-12, s"F' mismatch at nb=$nb")
-      assert((b - single.bPrime).maxAbs < 1e-12, s"B' mismatch at nb=$nb")
+      assert((f - single.fPrime).maxAbs == 0.0, s"F' mismatch at nb=$nb")
+      assert((b - single.bPrime).maxAbs == 0.0, s"B' mismatch at nb=$nb")
     }
   }
 

@@ -74,6 +74,37 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     }
   }
 
+  /** The flat i-k-j loops the staged `*` and `tMul` replaced, kept as oracles. */
+  private def flatMul(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
+    val c = DenseMatrix.zeros(a.rows, b.cols)
+    for (i <- 0 until a.rows; k <- 0 until a.cols) {
+      val aik = a.data(i * a.cols + k)
+      if (aik != 0.0) for (j <- 0 until b.cols) c.data(i * b.cols + j) += aik * b.data(k * b.cols + j)
+    }
+    c
+  }
+
+  private def flatTMul(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
+    val c = DenseMatrix.zeros(a.cols, b.cols)
+    for (i <- 0 until a.rows; k <- 0 until a.cols) {
+      val aik = a.data(i * a.cols + k)
+      if (aik != 0.0) for (j <- 0 until b.cols) c.data(k * b.cols + j) += aik * b.data(i * b.cols + j)
+    }
+    c
+  }
+
+  test("staged * and tMul equal the flat loops bit for bit, with exact zeros and vector shapes") {
+    val shapes = Seq((1, 7, 5), (7, 1, 5), (7, 5, 1), (1, 1, 1), (13, 9, 11), (40, 33, 17))
+    for (((r, m, c), s) <- shapes.zipWithIndex) {
+      // Every third entry of A is an exact zero, so the zero skip is exercised.
+      val a = DenseMatrix.randn(r, m, 10L + s).map(x => if (math.abs(x) < 0.43) 0.0 else x)
+      val b = DenseMatrix.randn(m, c, 20L + s)
+      val bt = DenseMatrix.randn(r, c, 30L + s)
+      assert(java.util.Arrays.equals((a * b).data, flatMul(a, b).data), s"* at $r x $m x $c")
+      assert(java.util.Arrays.equals(a.tMul(bt).data, flatTMul(a, bt).data), s"tMul at $r x $m x $c")
+    }
+  }
+
   test("transpose is an involution") {
     val a = DenseMatrix.randn(5, 3, 2L)
     assert((a.transpose.transpose - a).maxAbs == 0.0)
