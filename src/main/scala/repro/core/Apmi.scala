@@ -12,9 +12,9 @@ import repro.linalg.{DenseMatrix, SparseMatrix}
   * F' = log(n·P̂_f + 1), B' = log(d·P̂_b + 1)  (Equation (7)).
   *
   * [[propagate]] is the one recurrence kernel and [[spmiCols]] /
-  * [[spmiRows]] the one SPMI finaliser; the thread pool (PAPMI) and Spark
-  * run the same kernels on column blocks, so all three backends give the
-  * same F' and B' bit for bit (Lemma 4.1).
+  * [[spmiRows]] the one SPMI finaliser. [[run]] is PAPMI at nb = 1, and
+  * Spark runs the same kernels on column blocks, so all three backends
+  * give the same F' and B' bit for bit (Lemma 4.1).
   */
 object Apmi {
 
@@ -31,18 +31,11 @@ object Apmi {
     math.max(1, math.ceil(math.log(eps) / math.log(1 - alpha) - 1).toInt)
   }
 
-  def run(g: AttributedGraph, alpha: Double, t: Int): Result =
-    run(g.walkMatrix, g.attrRowNorm, g.attrColNorm, alpha, t)
-
-  /** Matrix-level entry point (Algorithm 2's actual signature): the
-    * nb = 1 case of PAPMI, one column block covering all d attributes.
+  /** F' and B' of `g`: the nb = 1 call of [[ParallelPane.papmi]], one
+    * column block covering all d attributes.
     */
-  def run(p: SparseMatrix, rr: SparseMatrix, rc: SparseMatrix, alpha: Double, t: Int): Result = {
-    require(t >= 1, "need at least one iteration")
-    val d = rr.cols
-    val f = DenseMatrix.fromRows(spmiCols(propagate(p, rr, alpha, t, 0, d)).toSeq)
-    val b = DenseMatrix.fromRows(propagate(transposeCsr(p), rc, alpha, t, 0, d).toSeq)
-    spmiRows(b, 0, b.rows)
+  def run(g: AttributedGraph, alpha: Double, t: Int): Result = {
+    val (f, b) = ParallelPane.papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, alpha, t, 1)
     Result(f, b)
   }
 

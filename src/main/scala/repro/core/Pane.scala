@@ -9,7 +9,8 @@ import repro.linalg.DenseMatrix
   * @param alpha    random walk stopping probability
   * @param eps      error threshold — sets the iteration count t
   * @param ccdIters optional override for the number of CCD sweeps
-  *                 (defaults to t, as in Algorithm 1 which reuses t)
+  *                 (defaults to t, as in Algorithm 1 which reuses t);
+  *                 RandSVD keeps t power iterations either way
   * @param seed     randomness seed (RandSVD sketches)
   */
 final case class PaneConfig(
@@ -22,13 +23,15 @@ final case class PaneConfig(
   def t: Int = Apmi.iterations(alpha, eps)
   def refineIters: Int = ccdIters.getOrElse(t)
 
-  /** Rejects a k that cannot embed an n-node, d-attribute graph in `nb`
-    * node blocks, before any work starts: k must be even and at least 2,
-    * at most 2·min(n, d), and k/2 may not exceed the rows of the smallest
-    * node block of [[ParallelPane.ranges]]`(n, nb)` (each block's RandSVD
-    * needs k/2 ≤ its rows).
+  /** Rejects an nb below 1, and a k that cannot embed an n-node,
+    * d-attribute graph in `nb` node blocks, before any work starts: k must
+    * be even and at least 2, at most 2·min(n, d), and k/2 may not exceed
+    * the rows of the smallest node block of [[ParallelPane.ranges]]`(n, nb)`
+    * (each block's RandSVD needs k/2 ≤ its rows).
     */
   def requireK(n: Int, d: Int, nb: Int): Unit = {
+    require(nb >= 1,
+      s"nb = $nb node blocks cannot embed n = $n nodes, d = $d attributes with k = $k: nb must be at least 1")
     val smallest = ParallelPane.ranges(n, nb).map(r => r._2 - r._1).minOption.getOrElse(0)
     require(k >= 2 && k % 2 == 0 && k / 2 <= math.min(n, d) && k / 2 <= smallest,
       s"space budget k = $k does not fit n = $n nodes, d = $d attributes in nb = $nb node blocks: " +
@@ -37,22 +40,27 @@ final case class PaneConfig(
   }
 }
 
-/** Algorithm 1 — single-thread PANE. */
+/** Algorithm 1 — single-thread PANE: the nb = 1 case of the block pipeline
+  * of [[ParallelPane]] (PAPMI and PSVDCCD are exact at nb = 1), seeded by
+  * GreedyInit instead of SMGreedyInit.
+  */
 object Pane {
 
-  def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings = {
-    cfg.requireK(g.n, g.d, 1)
-    val aff = Apmi.run(g, cfg.alpha, cfg.t)
-    SvdCcd.run(aff.fPrime, aff.bPrime, cfg.k, cfg.refineIters, seed = cfg.seed)
-  }
+  def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings =
+    embedFrom(g, cfg)(aff => SvdCcd.greedyInit(aff.fPrime, aff.bPrime, cfg.k, cfg.t, cfg.seed))
 
   /** PANE-R (§5.7): identical pipeline but with random initialization in
     * place of GreedyInit.
     */
-  def embedRandomInit(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings = {
-    val aff = Apmi.run(g, cfg.alpha, cfg.t)
-    val st = SvdCcd.randomInit(aff.fPrime, aff.bPrime, cfg.k, cfg.seed)
-    SvdCcd.run(aff.fPrime, aff.bPrime, cfg.k, cfg.refineIters, init = st)
+  def embedRandomInit(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings =
+    embedFrom(g, cfg)(aff => SvdCcd.randomInit(aff.fPrime, aff.bPrime, cfg.k, cfg.seed))
+
+  /** APMI, `init` on its result, then `cfg.refineIters` CCD sweeps, all as
+    * one node block.
+    */
+  private def embedFrom(g: AttributedGraph, cfg: PaneConfig)(init: Apmi.Result => SvdCcd.State): Embeddings = {
+    cfg.requireK(g.n, g.d, 1)
+    ParallelPane.psvdccd(init(Apmi.run(g, cfg.alpha, cfg.t)), cfg.refineIters, 1)
   }
 
   /** Attribute-inference score (Equation 21):

@@ -4,7 +4,7 @@ import java.util.concurrent.{Callable, Executors}
 import scala.jdk.CollectionConverters._
 
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.{DenseMatrix, SparseMatrix}
 
 /** Algorithms 5–8 — parallel PANE on a local thread pool, faithful to the
   * paper's block structure:
@@ -33,6 +33,7 @@ object ParallelPane {
 
   /** Split [0, size) into at most `nb` near-equal contiguous ranges. */
   def ranges(size: Int, nb: Int): Seq[(Int, Int)] = {
+    require(nb >= 1, s"need nb >= 1 blocks, got nb = $nb")
     val blocks = math.max(1, math.min(nb, size))
     (0 until blocks).map { i =>
       val from = (size.toLong * i / blocks).toInt
@@ -45,11 +46,12 @@ object ParallelPane {
     * attribute-column block runs [[Apmi.propagate]] forward (finalized to F'
     * in-block by [[Apmi.spmiCols]]) and backward over Pᵀ, writing its
     * columns of F' and P_b^{(t)}; node blocks then row-normalize B' in place
-    * ([[Apmi.spmiRows]]). The same kernels as [[Apmi.run]], so the result
-    * equals it bit for bit (Lemma 4.1).
+    * ([[Apmi.spmiRows]]). [[Apmi.run]] is its nb = 1 call, so every nb
+    * gives the same F' and B' bit for bit (Lemma 4.1).
     */
   def papmi(p: SparseMatrix, rr: SparseMatrix, rc: SparseMatrix,
             alpha: Double, t: Int, nb: Int): (DenseMatrix, DenseMatrix) = {
+    require(t >= 1, "need at least one iteration")
     val n = p.rows
     val d = rr.cols
     val pT = Apmi.transposeCsr(p)
@@ -98,14 +100,7 @@ object ParallelPane {
     */
   def splitSvd(fBlock: DenseMatrix, bi: Int, half: Int, svdIters: Int,
                seed: Long): (DenseMatrix, DenseMatrix) = {
-    val (u, sig, v) = RandSvd(fBlock, half, svdIters, seed = seed + bi)
-    val ui = DenseMatrix.zeros(fBlock.rows, half)
-    var i = 0
-    while (i < fBlock.rows) {
-      var j = 0
-      while (j < half) { ui(i, j) = u(i, j) * sig(j); j += 1 }
-      i += 1
-    }
+    val (ui, v) = SvdCcd.scaledSvd(fBlock, half, svdIters, seed + bi)
     (ui, v.transpose)
   }
 
@@ -114,18 +109,8 @@ object ParallelPane {
     * returns (W = Φ·Σ', Y). Block bi's rows of W are bi·k/2 until (bi+1)·k/2.
     */
   def mergeSvd(vts: Seq[DenseMatrix], half: Int, svdIters: Int,
-               seed: Long): (DenseMatrix, DenseMatrix) = {
-    val stacked = DenseMatrix.vstack(vts)
-    val (phi, sig2, y) = RandSvd(stacked, half, svdIters, seed = seed + 9999)
-    val w = DenseMatrix.zeros(stacked.rows, half)
-    var i = 0
-    while (i < stacked.rows) {
-      var j = 0
-      while (j < half) { w(i, j) = phi(i, j) * sig2(j); j += 1 }
-      i += 1
-    }
-    (w, y)
-  }
+               seed: Long): (DenseMatrix, DenseMatrix) =
+    SvdCcd.scaledSvd(DenseMatrix.vstack(vts), half, svdIters, seed + 9999)
 
   /** SMGreedyInit's per-block init (Alg 7 Lines 7–11) of node block `bi`,
     * rows [from, until) of `f`, `b` and `st`: Xf = Ui·W[bi], Xb = B'[Vi]·Y
@@ -143,16 +128,19 @@ object ParallelPane {
     SvdCcd.residualRows(st, f, b, from, until)
   }
 
-  /** Algorithm 8 — PSVDCCD: parallel CCD refinement. */
-  def psvdccd(f: DenseMatrix, b: DenseMatrix, k: Int, iters: Int, nb: Int,
-              init: SvdCcd.State = null, seed: Long = 42L): Embeddings = {
-    val st = if (init != null) init else smGreedyInit(f, b, k, iters, nb, seed)
+  /** Algorithm 8 — PSVDCCD: `iters` CCD sweeps on the initialized state
+    * `st`, in place, each an X-phase over the node blocks of
+    * `ranges(n, nb)` then a Y-phase over the attribute blocks of
+    * `ranges(d, nb)`. Every nb gives the same result bit for bit; nb = 1 is
+    * Algorithm 4's sequential loop.
+    */
+  def psvdccd(st: SvdCcd.State, iters: Int, nb: Int): Embeddings = {
     var it = 0
     while (it < iters) {
-      runAll(nb, ranges(f.rows, nb).map { case (from, until) =>
+      runAll(nb, ranges(st.xf.rows, nb).map { case (from, until) =>
         () => SvdCcd.nodeSweep(st, from, until)
       })
-      runAll(nb, ranges(f.cols, nb).map { case (from, until) =>
+      runAll(nb, ranges(st.y.rows, nb).map { case (from, until) =>
         () => SvdCcd.attrSweep(st, from, until)
       })
       it += 1
@@ -164,6 +152,6 @@ object ParallelPane {
   def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig(), nb: Int): Embeddings = {
     cfg.requireK(g.n, g.d, nb)
     val (fP, bP) = papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, cfg.alpha, cfg.t, nb)
-    psvdccd(fP, bP, cfg.k, cfg.refineIters, nb, seed = cfg.seed)
+    psvdccd(smGreedyInit(fP, bP, cfg.k, cfg.t, nb, cfg.seed), cfg.refineIters, nb)
   }
 }

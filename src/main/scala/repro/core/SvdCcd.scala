@@ -12,7 +12,10 @@ final case class Embeddings(xf: DenseMatrix, xb: DenseMatrix, y: DenseMatrix) {
 
 /** Algorithms 3–4 — joint factorization of F', B' via greedy SVD seeding
   * followed by cyclic coordinate descent with dynamically maintained
-  * residuals Sf = Xf·Yᵀ − F', Sb = Xb·Yᵀ − B'.
+  * residuals Sf = Xf·Yᵀ − F', Sb = Xb·Yᵀ − B'. The inits and the block
+  * kernels of the X- and Y-phases live here; every backend's sweep loop is
+  * [[ParallelPane.psvdccd]] (single thread at nb = 1) or Spark's per-block
+  * sweep.
   */
 object SvdCcd extends Serializable {
 
@@ -30,17 +33,23 @@ object SvdCcd extends Serializable {
     */
   def greedyInit(f: DenseMatrix, b: DenseMatrix, k: Int, svdIters: Int, seed: Long = 42L): State = {
     require(k >= 2 && k % 2 == 0, s"space budget k must be even and >= 2, got $k")
-    val half = k / 2
-    val (u, sig, v) = RandSvd(f, half, svdIters, seed = seed)
-    val xf = DenseMatrix.zeros(f.rows, half)
+    val (xf, y) = scaledSvd(f, k / 2, svdIters, seed)
+    withResiduals(xf, b * y, y, f, b)
+  }
+
+  /** RandSVD(m, k/2) = U·Σ·Vᵀ returned as (U·Σ, V): GreedyInit's Xf and Y,
+    * SMGreedyInit's split (Ui, Vi) and merge (W, Y).
+    */
+  def scaledSvd(m: DenseMatrix, half: Int, svdIters: Int, seed: Long): (DenseMatrix, DenseMatrix) = {
+    val (u, sig, v) = RandSvd(m, half, svdIters, seed = seed)
+    val us = DenseMatrix.zeros(m.rows, half)
     var i = 0
-    while (i < f.rows) {
+    while (i < m.rows) {
       var j = 0
-      while (j < half) { xf(i, j) = u(i, j) * sig(j); j += 1 }
+      while (j < half) { us(i, j) = u(i, j) * sig(j); j += 1 }
       i += 1
     }
-    val y = v
-    withResiduals(xf, b * y, y, f, b)
+    (us, v)
   }
 
   /** Random initialization — the PANE-R baseline of §5.7 (GreedyInit
@@ -244,7 +253,7 @@ object SvdCcd extends Serializable {
     *  1. accumulate Gf = Xfᵀ·Sf[:,range], Gb = Xbᵀ·Sb[:,range], Hf = XfᵀXf,
     *     Hb = XbᵀXb ([[attrGramRows]]);
     *  2. replay the sequential coordinate updates on them ([[attrReplay]]);
-    *  3. patch Sf −= Xf·ΔYᵀ, Sb −= Xb·ΔYᵀ on the range ([[rowPatch]]).
+    *  3. patch Sf −= Xf·ΔYᵀ, Sb −= Xb·ΔYᵀ on the range ([[patchRows]]).
     * Mutates in place; scratch is O(k·w + k²) for w = attrUntil − attrFrom.
     *
     * Safe to run concurrently for disjoint attribute ranges, and each
@@ -259,11 +268,20 @@ object SvdCcd extends Serializable {
     val w = attrUntil - attrFrom
     val acc = new Array[Double](attrGramSize(half, w))
     attrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, attrFrom, d, n, half, w, acc)
-    val deltaT = attrReplay(st.y, acc, attrFrom, w)
+    patchRows(st, attrReplay(st.y, acc, attrFrom, w), attrFrom, w)
+  }
+
+  /** The Y-phase residual move on every node row: Sf −= Xf·ΔYᵀ and
+    * Sb −= Xb·ΔYᵀ on columns [from, from + w), ΔYᵀ being k/2 × w, l-major
+    * ([[attrReplay]]'s result), one [[rowPatch]] per row.
+    */
+  def patchRows(st: State, deltaT: Array[Double], from: Int, w: Int): Unit = {
+    val half = st.y.cols
+    val d = st.y.rows
     var i = 0
-    while (i < n) {
-      rowPatch(st.xf.data, i * half, half, deltaT, w, st.sf.data, i * d + attrFrom)
-      rowPatch(st.xb.data, i * half, half, deltaT, w, st.sb.data, i * d + attrFrom)
+    while (i < st.xf.rows) {
+      rowPatch(st.xf.data, i * half, half, deltaT, w, st.sf.data, i * d + from)
+      rowPatch(st.xb.data, i * half, half, deltaT, w, st.sb.data, i * d + from)
       i += 1
     }
   }
@@ -383,19 +401,6 @@ object SvdCcd extends Serializable {
       c += 1
     }
     deltaT
-  }
-
-  /** Algorithm 4 — SVDCCD: greedy init + `iters` CCD refinement sweeps. */
-  def run(f: DenseMatrix, b: DenseMatrix, k: Int, iters: Int,
-          init: State = null, seed: Long = 42L): Embeddings = {
-    val st = if (init != null) init else greedyInit(f, b, k, iters, seed)
-    var it = 0
-    while (it < iters) {
-      nodeSweep(st, 0, f.rows)
-      attrSweep(st, 0, f.cols)
-      it += 1
-    }
-    Embeddings(st.xf, st.xb, st.y)
   }
 
   /** Objective (4): ‖F' − Xf·Yᵀ‖²_F + ‖B' − Xb·Yᵀ‖²_F. */

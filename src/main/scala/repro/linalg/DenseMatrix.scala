@@ -20,20 +20,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
   /** Copy of row `i` as a fresh array. */
   def row(i: Int): Array[Double] = java.util.Arrays.copyOfRange(data, i * cols, (i + 1) * cols)
 
-  /** Copy of column `j` as a fresh array. */
-  def col(j: Int): Array[Double] = {
-    val out = new Array[Double](rows)
-    var i = 0
-    while (i < rows) { out(i) = data(i * cols + j); i += 1 }
-    out
-  }
-
-  /** Overwrite row `i` with `v` (length must equal `cols`). */
-  def setRow(i: Int, v: Array[Double]): Unit = {
-    require(v.length == cols)
-    System.arraycopy(v, 0, data, i * cols, cols)
-  }
-
   def copy: DenseMatrix = new DenseMatrix(rows, cols, data.clone())
 
   /** C = this * B in i-k-j order. Each C row is accumulated in a scratch
@@ -278,25 +264,6 @@ object DenseMatrix {
     blocks.foreach { b =>
       System.arraycopy(b.data, 0, out.data, off, b.data.length)
       off += b.data.length
-    }
-    out
-  }
-
-  /** Horizontal concatenation. */
-  def hstack(blocks: Seq[DenseMatrix]): DenseMatrix = {
-    require(blocks.nonEmpty)
-    val r = blocks.head.rows
-    require(blocks.forall(_.rows == r), "hstack: row mismatch")
-    val c = blocks.map(_.cols).sum
-    val out = zeros(r, c)
-    var i = 0
-    while (i < r) {
-      var off = 0
-      blocks.foreach { b =>
-        System.arraycopy(b.data, i * b.cols, out.data, i * c + off, b.cols)
-        off += b.cols
-      }
-      i += 1
     }
     out
   }

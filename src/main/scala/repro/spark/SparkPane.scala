@@ -31,7 +31,7 @@ import repro.linalg.DenseMatrix
   *    [[ParallelPane.initBlock]] per block, as in the pool.
   *  - **PSVDCCD** (Alg 8): one job per sweep. Each block is copied (cached
   *    parents stay immutable for lineage), patched for the previous sweep's
-  *    ΔYᵀ ([[SvdCcd.rowPatch]]), swept by [[SvdCcd.nodeSweep]] and reduced to
+  *    ΔYᵀ ([[SvdCcd.patchRows]]), swept by [[SvdCcd.nodeSweep]] and reduced to
   *    its Y-phase accumulator Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf,
   *    Hb = XbᵀXb ([[SvdCcd.attrGramRows]]). The driver sums the
   *    accumulators in block order and replays the coordinate updates
@@ -194,15 +194,7 @@ object SparkPane extends Serializable {
     val next = state.mapValues { case (prev, _) =>
       val st = SvdCcd.State(prev.xf.copy, prev.xb.copy, bcY.value, prev.sf.copy, prev.sb.copy)
       val rows = st.xf.rows
-      val dT = bcDeltaT.value
-      if (dT.nonEmpty) {
-        var i = 0
-        while (i < rows) {
-          SvdCcd.rowPatch(st.xf.data, i * half, half, dT, d, st.sf.data, i * d)
-          SvdCcd.rowPatch(st.xb.data, i * half, half, dT, d, st.sb.data, i * d)
-          i += 1
-        }
-      }
+      if (bcDeltaT.value.nonEmpty) SvdCcd.patchRows(st, bcDeltaT.value, 0, d)
       SvdCcd.nodeSweep(st, 0, rows)
       val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
       SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, 0, d, rows, half, d, acc)

@@ -156,13 +156,6 @@ class ApmiSpec extends AnyFunSuite {
     assert(res.fPrime.row(0).sum > 0)
   }
 
-  test("matrix-level and graph-level entry points agree") {
-    val a = Apmi.run(g, alpha, 5)
-    val b = Apmi.run(g.walkMatrix, g.attrRowNorm, g.attrColNorm, alpha, 5)
-    assert((a.fPrime - b.fPrime).maxAbs == 0.0)
-    assert((a.bPrime - b.bPrime).maxAbs == 0.0)
-  }
-
   test("larger graph: affinity is homophilous (same-community attrs score higher)") {
     val gm = Fixtures.tiny
     val res = Apmi.run(gm, 0.5, t = 5)

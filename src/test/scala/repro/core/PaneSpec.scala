@@ -22,7 +22,25 @@ class PaneSpec extends AnyFunSuite {
       val msg = intercept[IllegalArgumentException](Pane.embed(tiny, PaneConfig(k = kBad))).getMessage
       for (part <- Seq(s"k = $kBad", "n = 120", "d = 24", "nb = 1")) assert(msg.contains(part), msg)
     }
+    val msg = intercept[IllegalArgumentException](Pane.embedRandomInit(tiny, PaneConfig(k = 50))).getMessage
+    for (part <- Seq("k = 50", "n = 120", "d = 24", "nb = 1")) assert(msg.contains(part), msg)
     PaneConfig(k = 48).requireK(120, 24, 1) // k = 2·min(n, d) fits
+  }
+
+  test("embed is Apmi.run, greedyInit with t iterations, then refineIters full sweeps") {
+    // ccdIters = Some(2) pins the RandSVD iteration count to t, not to the sweep count.
+    for (c <- Seq(cfg, cfg.copy(ccdIters = Some(2)))) {
+      val aff = Apmi.run(g, c.alpha, c.t)
+      val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, c.k, c.t, c.seed)
+      for (_ <- 0 until c.refineIters) {
+        SvdCcd.nodeSweep(st, 0, g.n)
+        SvdCcd.attrSweep(st, 0, g.d)
+      }
+      val e = Pane.embed(g, c)
+      assert((e.xf - st.xf).maxAbs == 0.0, s"Xf at ${c.ccdIters}")
+      assert((e.xb - st.xb).maxAbs == 0.0, s"Xb at ${c.ccdIters}")
+      assert((e.y - st.y).maxAbs == 0.0, s"Y at ${c.ccdIters}")
+    }
   }
 
   test("embed returns finite embeddings of the requested budget") {
@@ -87,11 +105,8 @@ class PaneSpec extends AnyFunSuite {
   test("GreedyInit beats random init at equal iteration budget (§5.7)") {
     val aff = Apmi.run(g, cfg.alpha, cfg.t)
     val iters = 2
-    val greedy = SvdCcd.run(aff.fPrime, aff.bPrime, cfg.k, iters)
-    val random = {
-      val st = SvdCcd.randomInit(aff.fPrime, aff.bPrime, cfg.k)
-      SvdCcd.run(aff.fPrime, aff.bPrime, cfg.k, iters, init = st)
-    }
+    val greedy = ParallelPane.psvdccd(SvdCcd.greedyInit(aff.fPrime, aff.bPrime, cfg.k, svdIters = iters), iters, nb = 1)
+    val random = ParallelPane.psvdccd(SvdCcd.randomInit(aff.fPrime, aff.bPrime, cfg.k), iters, nb = 1)
     val og = SvdCcd.objective(aff.fPrime, aff.bPrime, greedy)
     val or = SvdCcd.objective(aff.fPrime, aff.bPrime, random)
     assert(og < or, s"GreedyInit ($og) should beat random init ($or) at $iters CCD iterations")

@@ -23,6 +23,7 @@ class ParallelPaneSpec extends AnyFunSuite {
       assert(sizes.max - sizes.min <= 1)
       assert(sizes.forall(_ > 0))
     }
+    for (nb <- Seq(0, -3)) assertThrows[IllegalArgumentException](ParallelPane.ranges(10, nb))
   }
 
   test("Lemma 4.1: PAPMI returns exactly the single-thread affinity matrices") {
@@ -61,29 +62,20 @@ class ParallelPaneSpec extends AnyFunSuite {
 
   test("PSVDCCD reaches an objective within a few percent of single-thread SVDCCD") {
     val aff = Apmi.run(g, alpha, t)
-    val single = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 4)
-    val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 4, nb = 4)
+    val single = ParallelPane.psvdccd(SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 4), iters = 4, nb = 1)
+    val parallel = ParallelPane.psvdccd(
+      ParallelPane.smGreedyInit(aff.fPrime, aff.bPrime, k, svdIters = 4, nb = 4), iters = 4, nb = 4)
     val os = SvdCcd.objective(aff.fPrime, aff.bPrime, single)
     val op = SvdCcd.objective(aff.fPrime, aff.bPrime, parallel)
     assert(op <= os * 1.1 + 1e-9, s"parallel objective $op vs single $os")
-  }
-
-  test("nb = 1 PSVDCCD with shared init equals the sequential solver exactly") {
-    val aff = Apmi.run(g, alpha, t)
-    val init1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    val init2 = SvdCcd.State(init1.xf.copy, init1.xb.copy, init1.y.copy, init1.sf.copy, init1.sb.copy)
-    val single = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 3, init = init1)
-    val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 3, nb = 1, init = init2)
-    assert((single.xf - parallel.xf).maxAbs == 0.0)
-    assert((single.y - parallel.y).maxAbs == 0.0)
   }
 
   test("multi-thread PSVDCCD with shared init equals sequential exactly (phase independence)") {
     val aff = Apmi.run(g, alpha, t)
     val init1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
     val init2 = SvdCcd.State(init1.xf.copy, init1.xb.copy, init1.y.copy, init1.sf.copy, init1.sb.copy)
-    val single = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 2, init = init1)
-    val parallel = ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 2, nb = 4, init = init2)
+    val single = ParallelPane.psvdccd(init1, iters = 2, nb = 1)
+    val parallel = ParallelPane.psvdccd(init2, iters = 2, nb = 4)
     // X phase updates disjoint rows, Y phase disjoint columns → identical
     // results regardless of the thread count.
     assert((single.xf - parallel.xf).maxAbs == 0.0)
@@ -94,14 +86,32 @@ class ParallelPaneSpec extends AnyFunSuite {
   test("maintained residuals stay exact over 6 sweeps, single and pool: ‖S − (X·Yᵀ − F')‖max ≤ 1e-12·max|F'|") {
     val aff = Apmi.run(g, alpha, t)
     val single = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 6)
-    SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 6, init = single)
+    ParallelPane.psvdccd(single, iters = 6, nb = 1)
     val pool = ParallelPane.smGreedyInit(aff.fPrime, aff.bPrime, k, svdIters = 6, nb = 4)
-    ParallelPane.psvdccd(aff.fPrime, aff.bPrime, k, iters = 6, nb = 4, init = pool)
+    ParallelPane.psvdccd(pool, iters = 6, nb = 4)
     for ((name, st) <- Seq("single" -> single, "pool" -> pool)) {
       val driftF = (st.sf - (st.xf.mulT(st.y) - aff.fPrime)).maxAbs
       val driftB = (st.sb - (st.xb.mulT(st.y) - aff.bPrime)).maxAbs
       assert(driftF <= 1e-12 * aff.fPrime.maxAbs, s"$name Sf drift $driftF")
       assert(driftB <= 1e-12 * aff.bPrime.maxAbs, s"$name Sb drift $driftB")
+    }
+  }
+
+  test("embed at nb = 4 is papmi, smGreedyInit with t iterations, then block sweeps") {
+    // ccdIters = Some(2) pins the RandSVD iteration count to t, not to the sweep count.
+    val cfg = PaneConfig(k = k, alpha = alpha, eps = 0.015)
+    val nb = 4
+    for (c <- Seq(cfg, cfg.copy(ccdIters = Some(2)))) {
+      val (f, b) = ParallelPane.papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, c.alpha, c.t, nb)
+      val st = ParallelPane.smGreedyInit(f, b, c.k, c.t, nb, c.seed)
+      for (_ <- 0 until c.refineIters) {
+        for ((from, until) <- ParallelPane.ranges(g.n, nb)) SvdCcd.nodeSweep(st, from, until)
+        for ((from, until) <- ParallelPane.ranges(g.d, nb)) SvdCcd.attrSweep(st, from, until)
+      }
+      val e = ParallelPane.embed(g, c, nb)
+      assert((e.xf - st.xf).maxAbs == 0.0, s"Xf at ${c.ccdIters}")
+      assert((e.xb - st.xb).maxAbs == 0.0, s"Xb at ${c.ccdIters}")
+      assert((e.y - st.y).maxAbs == 0.0, s"Y at ${c.ccdIters}")
     }
   }
 
@@ -118,7 +128,7 @@ class ParallelPaneSpec extends AnyFunSuite {
   test("embed rejects a bad k before any pool task starts, naming k, n, d and nb") {
     val tiny = Fixtures.tiny // n = 120, d = 24
     // (8, 40): blocks of 3 rows cannot hold a rank-4 split SVD.
-    for ((kBad, nb) <- Seq((7, 4), (0, 4), (50, 4), (8, 40))) {
+    for ((kBad, nb) <- Seq((7, 4), (0, 4), (50, 4), (8, 40), (8, 0), (8, -3))) {
       val msg = intercept[IllegalArgumentException](ParallelPane.embed(tiny, PaneConfig(k = kBad), nb)).getMessage
       for (part <- Seq(s"k = $kBad", "n = 120", "d = 24", s"nb = $nb")) assert(msg.contains(part), msg)
     }

@@ -102,8 +102,10 @@ class SvdCcdSpec extends AnyFunSuite {
       val xf = st2.xf.row(i); val xb = st2.xb.row(i)
       val sf = st2.sf.row(i); val sb = st2.sb.row(i)
       kern.nodeRow(xf, xb, 0, sf, sb, 0)
-      st2.xf.setRow(i, xf); st2.xb.setRow(i, xb)
-      st2.sf.setRow(i, sf); st2.sb.setRow(i, sb)
+      System.arraycopy(xf, 0, st2.xf.data, i * xf.length, xf.length)
+      System.arraycopy(xb, 0, st2.xb.data, i * xb.length, xb.length)
+      System.arraycopy(sf, 0, st2.sf.data, i * sf.length, sf.length)
+      System.arraycopy(sb, 0, st2.sb.data, i * sb.length, sb.length)
     }
     assert((st1.xf - st2.xf).maxAbs == 0.0)
     assert((st1.xb - st2.xb).maxAbs == 0.0)
@@ -216,8 +218,8 @@ class SvdCcdSpec extends AnyFunSuite {
     assert(java.util.Arrays.equals(acc.slice(half * d, 2 * half * d), gb2))
   }
 
-  test("run returns embeddings with the right shapes") {
-    val e = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 2)
+  test("psvdccd returns embeddings with the right shapes") {
+    val e = ParallelPane.psvdccd(SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 2), iters = 2, nb = 1)
     assert(e.xf.rows == aff.fPrime.rows && e.xf.cols == k / 2)
     assert(e.xb.rows == aff.fPrime.rows && e.xb.cols == k / 2)
     assert(e.y.rows == aff.fPrime.cols && e.y.cols == k / 2)
@@ -225,7 +227,7 @@ class SvdCcdSpec extends AnyFunSuite {
   }
 
   test("objective matches manual Frobenius computation") {
-    val e = SvdCcd.run(aff.fPrime, aff.bPrime, k, iters = 1)
+    val e = ParallelPane.psvdccd(SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 1), iters = 1, nb = 1)
     val o = SvdCcd.objective(aff.fPrime, aff.bPrime, e)
     val rf = e.xf.mulT(e.y) - aff.fPrime
     val rb = e.xb.mulT(e.y) - aff.bPrime

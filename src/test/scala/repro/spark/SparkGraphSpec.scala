@@ -36,6 +36,24 @@ class SparkGraphSpec extends SparkSpec {
       "attrs" -> attrs)
   }
 
+  test("oracle catches wrong results (self-test)") {
+    val edges = g.edgeDF(spark)
+    val wrong = edges.agg((count(lit(1)) + 1) as "m") // off by one
+    val msg = intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(wrong, "SELECT count(*) AS m FROM edges", "edges" -> edges)
+    }.getMessage
+    assert(msg.contains("result mismatch"), msg)
+  }
+
+  test("oracle catches column-name mismatches (self-test)") {
+    val edges = g.edgeDF(spark)
+    val q = edges.agg(count(lit(1)) as "wrong_name")
+    val msg = intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(q, "SELECT count(*) AS m FROM edges", "edges" -> edges)
+    }.getMessage
+    assert(msg.contains("column mismatch"), msg)
+  }
+
   test("Table 3 stats run for a catalog dataset") {
     val s = SparkGraph.stats(Datasets.load(Datasets.cora), spark)
     assert(s.name == "cora-lite" && s.n == 2708 && s.d == 400 && s.labels == 7)

@@ -71,18 +71,26 @@ class SparkPaneSpec extends SparkSpec {
     }
   }
 
-  test("distributed embed matches the thread-pool ParallelPane closely") {
-    val cfg = PaneConfig(k = k, alpha = alpha, eps = 0.015)
+  /** Same blocks, seeds and kernels; only the summation order of the
+    * Y-phase accumulators differs (per block on Spark, per attribute block
+    * in the pool).
+    */
+  private def assertMatchesPool(cfg: PaneConfig): Unit = {
     val nb = 4
     val local = ParallelPane.embed(g, cfg, nb)
     val dist = SparkPane.embed(g, cfg, Some(nb))
-    // Same blocks, seeds and kernels; only the summation order of the
-    // Y-phase accumulators differs (per block on Spark, per attribute block
-    // in the pool).
     for ((name, l, d) <- Seq(("Xf", local.xf, dist.xf), ("Xb", local.xb, dist.xb), ("Y", local.y, dist.y))) {
       val diff = (l - d).maxAbs
       assert(diff <= 1e-12 * l.maxAbs, s"$name differs by $diff (max-abs ${l.maxAbs})")
     }
+  }
+
+  test("distributed embed matches the thread-pool ParallelPane closely") {
+    assertMatchesPool(PaneConfig(k = k, alpha = alpha, eps = 0.015))
+  }
+
+  test("with fewer sweeps than t, the pool and Spark still seed RandSVD with t iterations") {
+    assertMatchesPool(PaneConfig(k = k, alpha = alpha, eps = 0.015, ccdIters = Some(2)))
   }
 
   test("distributed embed quality: attribute inference on par with single-thread") {
@@ -124,7 +132,7 @@ class SparkPaneSpec extends SparkSpec {
 
   test("embed rejects a bad k before any Spark job starts") {
     val tiny = Fixtures.tiny // n = 120, d = 24
-    for ((kBad, nb) <- Seq((7, 2), (0, 2), (50, 2), (8, 40))) {
+    for ((kBad, nb) <- Seq((7, 2), (0, 2), (50, 2), (8, 40), (8, 0), (8, -3))) {
       var msg = ""
       val descs = jobDescriptions {
         msg = intercept[IllegalArgumentException](SparkPane.embed(tiny, PaneConfig(k = kBad), Some(nb))).getMessage
