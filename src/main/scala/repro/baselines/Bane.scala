@@ -1,7 +1,8 @@
 package repro.baselines
 
+import repro.core.Apmi
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.{DenseMatrix, RandSvd}
 
 /** BANE [Yang et al., ICDM'18] / LQANR [Yang et al., IJCAI'19] — lite.
   *
@@ -31,23 +32,13 @@ object Bane {
   /** Shared real-valued factor before quantization. */
   private def realFactor(g: AttributedGraph, k: Int, hops: Int, seed: Long): DenseMatrix = {
     // Â: row-normalized adjacency with self-loops on the symmetrized graph
-    // (BANE is undirected-only — part of the gap PANE exploits).
-    val entries = Seq.newBuilder[(Int, Int, Double)]
-    var e = 0
-    while (e < g.m) {
-      entries += ((g.src(e), g.dst(e), 1.0))
-      entries += ((g.dst(e), g.src(e), 1.0))
-      e += 1
-    }
-    var i = 0
-    while (i < g.n) { entries += ((i, i, 1.0)); i += 1 }
-    val aHat = SparseMatrix.fromCoo(g.n, g.n, entries.result()).rowNormalized
-    var m = g.attrMatrix.rowNormalized.toDense
-    var h = 0
-    while (h < hops) { m = aHat * m; h += 1 }
+    // (BANE is undirected-only — part of the gap PANE exploits); α = 0
+    // gives `hops` plain products Â·M from M = R̃.
+    val aHat = g.symmetrized.withSelfLoops.walkMatrix
+    val m = DenseMatrix.fromRows(Apmi.propagate(aHat, g.attrRowNorm, 0.0, hops, 0, g.d).toSeq)
     val (u, sig, _) = RandSvd(m, k, 6, seed = seed)
     val x = DenseMatrix.zeros(g.n, k)
-    i = 0
+    var i = 0
     while (i < g.n) {
       var l = 0
       while (l < k) { x(i, l) = u(i, l) * math.sqrt(math.max(sig(l), 0.0)); l += 1 }

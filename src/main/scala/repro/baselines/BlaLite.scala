@@ -1,5 +1,6 @@
 package repro.baselines
 
+import repro.core.Apmi
 import repro.graph.AttributedGraph
 import repro.linalg.DenseMatrix
 
@@ -20,16 +21,10 @@ object BlaLite {
     def attrScore(vi: Int, rj: Int): Double = z(vi, rj)
   }
 
-  def infer(g: AttributedGraph, lambda: Double = 0.7, iters: Int = 3): Model = {
-    val sym = g.withEdges(g.src ++ g.dst, g.dst ++ g.src)
-    val p = sym.walkMatrix
-    val r0 = g.attrMatrix.rowNormalized.toDense
-    var z = r0.copy
-    var l = 0
-    while (l < iters) {
-      z = (p * z).zipWith(r0, (pv, bv) => lambda * pv + (1 - lambda) * bv)
-      l += 1
-    }
-    Model(z)
-  }
+  /** APMI's forward recurrence with α = 1 − λ. For λ ≥ 0.5, 1 − (1 − λ)
+    * is exactly λ, so each hop is exactly λ·P·Z + (1−λ)·R_train.
+    */
+  def infer(g: AttributedGraph, lambda: Double = 0.7, iters: Int = 3): Model =
+    Model(DenseMatrix.fromRows(
+      Apmi.propagate(g.symmetrized.walkMatrix, g.attrRowNorm, 1 - lambda, iters, 0, g.d).toSeq))
 }

@@ -1,8 +1,8 @@
 package repro.baselines
 
-import repro.core.Apmi
+import repro.core.{Apmi, SvdCcd}
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.DenseMatrix
 
 /** CAN [Meng et al., WSDM'19] — lite structural substitute.
   *
@@ -43,18 +43,11 @@ object CanLite {
   def embed(g: AttributedGraph, k: Int, alpha: Double = 0.5, t: Int = 2,
             seed: Long = 42L): Model = {
     // Symmetrize the graph (CAN cannot use direction).
-    val sym = g.withEdges(g.src ++ g.dst, g.dst ++ g.src)
+    val sym = g.symmetrized
     // PANE's forward recurrence, t hops.
     val cur = DenseMatrix.fromRows(Apmi.propagate(sym.walkMatrix, sym.attrRowNorm, alpha, t, 0, g.d).toSeq)
     // Raw walk probabilities — deliberately no SPMI transform.
-    val (u, sig, v) = RandSvd(cur, k / 2, 6, seed = seed)
-    val x = DenseMatrix.zeros(g.n, k / 2)
-    var i = 0
-    while (i < g.n) {
-      var j = 0
-      while (j < k / 2) { x(i, j) = u(i, j) * sig(j); j += 1 }
-      i += 1
-    }
+    val (x, v) = SvdCcd.scaledSvd(cur, k / 2, 6, seed)
     Model(x, v)
   }
 }

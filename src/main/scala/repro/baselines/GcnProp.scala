@@ -1,7 +1,8 @@
 package repro.baselines
 
+import repro.core.{Apmi, SvdCcd}
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.{DenseMatrix, SparseMatrix}
 
 /** SGC-style propagation — linear stand-in for the unsupervised GNN
   * encoders DGI [ICLR'19] and ARGA [IJCAI'18].
@@ -25,19 +26,10 @@ object GcnProp {
 
   def embed(g: AttributedGraph, k: Int, hops: Int = 2, seed: Long = 42L): Model = {
     // Â = D̃^{-1/2} (A_sym + I) D̃^{-1/2}
-    val entries = Seq.newBuilder[(Int, Int, Double)]
-    var e = 0
-    while (e < g.m) {
-      entries += ((g.src(e), g.dst(e), 1.0))
-      entries += ((g.dst(e), g.src(e), 1.0))
-      e += 1
-    }
-    var i = 0
-    while (i < g.n) { entries += ((i, i, 1.0)); i += 1 }
-    val a = SparseMatrix.fromCoo(g.n, g.n, entries.result())
+    val a = g.symmetrized.withSelfLoops.adjacency
     val deg = a.rowSums
     val vals = a.values.clone()
-    i = 0
+    var i = 0
     while (i < g.n) {
       var p = a.rowPtr(i)
       while (p < a.rowPtr(i + 1)) {
@@ -47,17 +39,8 @@ object GcnProp {
       i += 1
     }
     val aHat = new SparseMatrix(g.n, g.n, a.rowPtr, a.colIdx, vals)
-    var m = g.attrMatrix.rowNormalized.toDense
-    var h = 0
-    while (h < hops) { m = aHat * m; h += 1 }
-    val (u, sig, _) = RandSvd(m, k, 6, seed = seed)
-    val x = DenseMatrix.zeros(g.n, k)
-    i = 0
-    while (i < g.n) {
-      var j = 0
-      while (j < k) { x(i, j) = u(i, j) * sig(j); j += 1 }
-      i += 1
-    }
-    Model(x)
+    // α = 0: `hops` plain products Â·M from M = R̃.
+    val m = DenseMatrix.fromRows(Apmi.propagate(aHat, g.attrRowNorm, 0.0, hops, 0, g.d).toSeq)
+    Model(SvdCcd.scaledSvd(m, k, 6, seed)._1)
   }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, RandSvd, SparseMatrix}
+import repro.linalg.{DenseMatrix, RandSvd}
 
 /** NetMF [Qiu et al., WSDM'18] — DeepWalk as matrix factorization.
   *
@@ -31,7 +31,7 @@ object NetMf {
       s"NetMF materializes an n×n matrix; n=${g.n} exceeds $maxNodes " +
         "(the paper's large-graph '-' wall)")
     // Symmetrize (DeepWalk-family methods are undirected).
-    val sym = g.withEdges(g.src ++ g.dst, g.dst ++ g.src)
+    val sym = g.symmetrized
     val p = sym.walkMatrix
     val n = g.n
     val vol = sym.adjacency.nnz.toDouble

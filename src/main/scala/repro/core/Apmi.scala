@@ -108,33 +108,17 @@ object Apmi {
     cur
   }
 
-  /** Explicit CSR of Pᵀ, built in O(nnz) by counting sort (Gustavson 1978).
-    * Row j lists its sources i in ascending order, the order in which
-    * `p.tMul`'s scatter adds them, so gathering over it sums the same
-    * terms in the same order.
+  /** Explicit CSR of Pᵀ in O(nnz): P's entries, visited row by row, go
+    * through [[SparseMatrix.countingSort]] by column. Row j lists its
+    * sources i in ascending order, the order in which `p.tMul`'s scatter
+    * adds them, so gathering over it sums the same terms in the same order.
     */
   def transposeCsr(p: SparseMatrix): SparseMatrix = {
-    val ptr = new Array[Int](p.cols + 1)
-    var q = 0
-    while (q < p.nnz) { ptr(p.colIdx(q) + 1) += 1; q += 1 }
-    var j = 0
-    while (j < p.cols) { ptr(j + 1) += ptr(j); j += 1 }
-    val next = java.util.Arrays.copyOf(ptr, p.cols)
-    val col = new Array[Int](p.nnz)
-    val vals = new Array[Double](p.nnz)
+    val (ptr, order) = SparseMatrix.countingSort(p.cols, p.colIdx, Array.range(0, p.nnz))
+    val rowOf = new Array[Int](p.nnz)
     var i = 0
-    while (i < p.rows) {
-      q = p.rowPtr(i)
-      while (q < p.rowPtr(i + 1)) {
-        val at = next(p.colIdx(q))
-        col(at) = i
-        vals(at) = p.values(q)
-        next(p.colIdx(q)) = at + 1
-        q += 1
-      }
-      i += 1
-    }
-    new SparseMatrix(p.cols, p.rows, ptr, col, vals)
+    while (i < p.rows) { java.util.Arrays.fill(rowOf, p.rowPtr(i), p.rowPtr(i + 1), i); i += 1 }
+    new SparseMatrix(p.cols, p.rows, ptr, order.map(rowOf(_)), order.map(p.values(_)))
   }
 
   /** SPMI for F' on a column block, in place: column-normalizes the rows

@@ -63,9 +63,11 @@ final case class AttributedGraph(
   def numLabels: Int =
     if (labels.isEmpty) 0 else (labels.iterator.flatten ++ Iterator(-1)).max + 1
 
-  /** Adjacency as CSR (unweighted: 1.0 per edge, duplicates merged). */
-  lazy val adjacency: SparseMatrix =
-    SparseMatrix.fromCoo(n, n, src.indices.map(i => (src(i), dst(i), 1.0)))
+  /** Adjacency A as CSR, 0/1: parallel edges count once. */
+  lazy val adjacency: SparseMatrix = {
+    val merged = SparseMatrix.fromCoo(n, n, src, dst, new Array[Double](m))
+    new SparseMatrix(n, n, merged.rowPtr, merged.colIdx, Array.fill(merged.nnz)(1.0))
+  }
 
   /** Out-degrees (from the merged adjacency, so parallel edges count once). */
   lazy val outDegree: Array[Int] = {
@@ -75,30 +77,31 @@ final case class AttributedGraph(
     deg
   }
 
-  /** Random-walk matrix P = D⁻¹A. Dangling nodes (out-degree 0) get a
+  /** Random-walk matrix P = D⁻¹A, read off `adjacency`'s rows: 1/deg for
+    * each distinct neighbour. Dangling nodes (out-degree 0) get a
     * self-loop so P stays row-stochastic — see DESIGN.md §2.
     */
   lazy val walkMatrix: SparseMatrix = {
-    val entries = Seq.newBuilder[(Int, Int, Double)]
+    val rowPtr = new Array[Int](n + 1)
     var i = 0
+    while (i < n) { rowPtr(i + 1) = rowPtr(i) + math.max(outDegree(i), 1); i += 1 }
+    val colIdx = new Array[Int](rowPtr(n))
+    val values = new Array[Double](rowPtr(n))
+    i = 0
     while (i < n) {
       val deg = outDegree(i)
-      if (deg == 0) entries += ((i, i, 1.0))
+      if (deg == 0) { colIdx(rowPtr(i)) = i; values(rowPtr(i)) = 1.0 }
       else {
-        var p = adjacency.rowPtr(i)
-        while (p < adjacency.rowPtr(i + 1)) {
-          entries += ((i, adjacency.colIdx(p), adjacency.values(p) / deg))
-          p += 1
-        }
+        System.arraycopy(adjacency.colIdx, adjacency.rowPtr(i), colIdx, rowPtr(i), deg)
+        java.util.Arrays.fill(values, rowPtr(i), rowPtr(i + 1), 1.0 / deg)
       }
       i += 1
     }
-    SparseMatrix.fromCoo(n, n, entries.result())
+    new SparseMatrix(n, n, rowPtr, colIdx, values)
   }
 
   /** Attribute matrix R ∈ R^{n×d}. */
-  lazy val attrMatrix: SparseMatrix =
-    SparseMatrix.fromCoo(n, d, attrNode.indices.map(i => (attrNode(i), attrId(i), attrW(i))))
+  lazy val attrMatrix: SparseMatrix = SparseMatrix.fromCoo(n, d, attrNode, attrId, attrW)
 
   /** Row-normalized attribute matrix Rr: node → attribute pick probability
     * (walk semantics of Equation (1); see DESIGN.md on the printed typo).
@@ -111,6 +114,12 @@ final case class AttributedGraph(
   /** The same graph with a subset of edges — used by link-prediction splits. */
   def withEdges(newSrc: Array[Int], newDst: Array[Int]): AttributedGraph =
     copy(src = newSrc, dst = newDst)
+
+  /** The undirected graph: every edge in both directions. */
+  def symmetrized: AttributedGraph = withEdges(src ++ dst, dst ++ src)
+
+  /** The same graph with a self-loop added at every node. */
+  def withSelfLoops: AttributedGraph = withEdges(src ++ Array.range(0, n), dst ++ Array.range(0, n))
 
   /** The same graph with a subset of attribute entries — attribute-inference splits. */
   def withAttrEntries(node: Array[Int], attr: Array[Int], w: Array[Double]): AttributedGraph =

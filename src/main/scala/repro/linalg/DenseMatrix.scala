@@ -187,18 +187,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
     new DenseMatrix(until - from, cols,
       java.util.Arrays.copyOfRange(data, from * cols, until * cols))
 
-  /** Block of the given columns [from, until) — copies. */
-  def colSlice(from: Int, until: Int): DenseMatrix = {
-    val w = until - from
-    val out = DenseMatrix.zeros(rows, w)
-    var i = 0
-    while (i < rows) {
-      System.arraycopy(data, i * cols + from, out.data, i * w, w)
-      i += 1
-    }
-    out
-  }
-
   // LinOp interface: lets RandSvd treat explicit and implicit matrices alike.
   override def applyTo(x: DenseMatrix): DenseMatrix = this * x
   override def applyTransposeTo(x: DenseMatrix): DenseMatrix = this.tMul(x)

@@ -19,7 +19,7 @@ final class SparseMatrix(
 
   def nnz: Int = values.length
 
-  /** Dense materialization — test/debug use only. */
+  /** Dense materialization: O(rows·cols) memory, so only for small matrices (NetMF's and TADW's n×n P, tests). */
   def toDense: DenseMatrix = {
     val m = DenseMatrix.zeros(rows, cols)
     var i = 0
@@ -130,32 +130,64 @@ final class SparseMatrix(
 
 object SparseMatrix {
 
-  /** Build from COO triples; duplicate (i,j) entries are summed. */
-  def fromCoo(rows: Int, cols: Int, entries: Seq[(Int, Int, Double)]): SparseMatrix = {
-    val byRow = entries.groupBy(_._1)
-    byRow.keys.foreach(i => require(i >= 0 && i < rows, s"row $i out of range [0,$rows)"))
+  /** Build from COO arrays: entry k is (row(k), col(k), value(k)).
+    * A stable counting sort by column and then by row gives each row its
+    * columns in ascending order, with duplicate (i, j) entries next to each
+    * other in input order; they are summed in that order.
+    */
+  def fromCoo(rows: Int, cols: Int, row: Array[Int], col: Array[Int], value: Array[Double]): SparseMatrix = {
+    require(row.length == col.length && col.length == value.length,
+      s"COO arrays differ in length: row ${row.length}, col ${col.length}, value ${value.length}")
+    var k = 0
+    while (k < row.length) {
+      if (row(k) < 0 || row(k) >= rows)
+        throw new IllegalArgumentException(s"entry $k: row ${row(k)} out of range [0,$rows)")
+      if (col(k) < 0 || col(k) >= cols)
+        throw new IllegalArgumentException(s"entry $k: column ${col(k)} out of range [0,$cols)")
+      k += 1
+    }
+    val (_, byCol) = countingSort(cols, col, Array.range(0, col.length))
+    val (ptr, order) = countingSort(rows, row, byCol)
     val rowPtr = new Array[Int](rows + 1)
+    val colIdx = new Array[Int](order.length)
+    val values = new Array[Double](order.length)
+    var at = 0
     var i = 0
     while (i < rows) {
-      rowPtr(i + 1) = rowPtr(i) + byRow.get(i).map(e => e.map(x => (x._2, x._3)).groupBy(_._1).size).getOrElse(0)
-      i += 1
-    }
-    val nnz = rowPtr(rows)
-    val colIdx = new Array[Int](nnz)
-    val values = new Array[Double](nnz)
-    i = 0
-    while (i < rows) {
-      byRow.get(i).foreach { es =>
-        val merged = es.map(x => (x._2, x._3)).groupBy(_._1).map { case (j, vs) => (j, vs.map(_._2).sum) }
-          .toArray.sortBy(_._1)
-        var p = rowPtr(i)
-        merged.foreach { case (j, v) =>
-          require(j >= 0 && j < cols, s"column $j out of range [0,$cols)")
-          colIdx(p) = j; values(p) = v; p += 1
-        }
+      var q = ptr(i)
+      while (q < ptr(i + 1)) {
+        val e = order(q)
+        if (q > ptr(i) && col(e) == colIdx(at - 1)) values(at - 1) += value(e)
+        else { colIdx(at) = col(e); values(at) = value(e); at += 1 }
+        q += 1
       }
+      rowPtr(i + 1) = at
       i += 1
     }
-    new SparseMatrix(rows, cols, rowPtr, colIdx, values)
+    new SparseMatrix(rows, cols, rowPtr,
+      java.util.Arrays.copyOf(colIdx, at), java.util.Arrays.copyOf(values, at))
+  }
+
+  /** Stable counting sort (Gustavson 1978): the positions listed in
+    * `order`, grouped by `key(position)` into `buckets` buckets, each
+    * bucket in `order`'s order. Returns the bucket pointers (buckets + 1
+    * entries) and the grouped positions.
+    */
+  def countingSort(buckets: Int, key: Array[Int], order: Array[Int]): (Array[Int], Array[Int]) = {
+    val ptr = new Array[Int](buckets + 1)
+    var q = 0
+    while (q < order.length) { ptr(key(order(q)) + 1) += 1; q += 1 }
+    var b = 0
+    while (b < buckets) { ptr(b + 1) += ptr(b); b += 1 }
+    val next = java.util.Arrays.copyOf(ptr, buckets)
+    val out = new Array[Int](order.length)
+    q = 0
+    while (q < order.length) {
+      val e = order(q)
+      out(next(key(e))) = e
+      next(key(e)) += 1
+      q += 1
+    }
+    (ptr, out)
   }
 }

@@ -111,19 +111,35 @@ class ApmiSpec extends AnyFunSuite {
     x
   }
 
+  /** Columns [from, until) of `m`. */
+  private def colBlock(m: DenseMatrix, from: Int, until: Int): DenseMatrix =
+    m.transpose.rowSlice(from, until).transpose
+
   test("propagate equals the dense (P * X).zipWith recurrence bit for bit, full range and column blocks") {
     // figure1NoAttrs has a dangling node (5) and attribute-less nodes (0, 1).
     for ((gr, t) <- Seq(Fixtures.figure1NoAttrs -> 10, Fixtures.mid -> 5)) {
       val p = gr.walkMatrix
       val pT = Apmi.transposeCsr(p)
-      val fwd = denseRecurrence(p * _, gr.attrRowNorm.toDense, t)
+      val r0 = gr.attrRowNorm.toDense
+      val fwd = denseRecurrence(p * _, r0, t)
       val bwd = denseRecurrence(p.tMul(_), gr.attrColNorm.toDense, t)
       for ((from, until) <- Seq((0, gr.d), (1, gr.d - 1), (gr.d / 2, gr.d / 2 + 1))) {
         val f = DenseMatrix.fromRows(Apmi.propagate(p, gr.attrRowNorm, alpha, t, from, until).toSeq)
         val b = DenseMatrix.fromRows(Apmi.propagate(pT, gr.attrColNorm, alpha, t, from, until).toSeq)
-        assert((f - fwd.colSlice(from, until)).maxAbs == 0.0, s"${gr.name} forward [$from, $until)")
-        assert((b - bwd.colSlice(from, until)).maxAbs == 0.0, s"${gr.name} backward [$from, $until)")
+        assert((f - colBlock(fwd, from, until)).maxAbs == 0.0, s"${gr.name} forward [$from, $until)")
+        assert((b - colBlock(bwd, from, until)).maxAbs == 0.0, s"${gr.name} backward [$from, $until)")
       }
+      // α = 0 (GCN-prop, BANE): t plain products P·M from M = R0.
+      var hops = r0
+      for (_ <- 1 to t) hops = p * hops
+      val plain = DenseMatrix.fromRows(Apmi.propagate(p, gr.attrRowNorm, 0.0, t, 0, gr.d).toSeq)
+      assert((plain - hops).maxAbs == 0.0, s"${gr.name} alpha = 0")
+      // α = 1 − λ (BLA-lite): against the recurrence λ·P·Z + (1−λ)·R0 written out.
+      val lambda = 0.7
+      var z = r0.copy
+      for (_ <- 1 to t) z = (p * z).zipWith(r0, (pv, bv) => lambda * pv + (1 - lambda) * bv)
+      val bla = DenseMatrix.fromRows(Apmi.propagate(p, gr.attrRowNorm, 1 - lambda, t, 0, gr.d).toSeq)
+      assert((bla - z).maxAbs == 0.0, s"${gr.name} alpha = 1 - $lambda")
     }
   }
 

@@ -2,6 +2,8 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
+import repro.eval.Tasks
+import repro.linalg.CooOracle
 
 class AttributedGraphSpec extends AnyFunSuite {
 
@@ -21,7 +23,26 @@ class AttributedGraphSpec extends AnyFunSuite {
       attrNode = Array(0), attrId = Array(0), attrW = Array(1.0),
       labels = Array.fill(3)(Array(0)), directed = true)
     assert(a.adjacency.nnz == 2)
+    assert(a.adjacency.values.forall(_ == 1.0))
     assert(a.outDegree.toSeq == Seq(1, 1, 0))
+  }
+
+  test("a repeated edge leaves P row-stochastic and equal to the deduplicated graph's") {
+    val dup = g.withEdges(g.src ++ Array(2, 0, 2), g.dst ++ Array(3, 2, 3))
+    val p = dup.walkMatrix
+    assert((p.toDense - g.walkMatrix.toDense).maxAbs == 0.0)
+    p.rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
+  }
+
+  test("P, Rr and Rc equal the groupBy builder's, on the fixtures and two training graphs") {
+    val training = Seq(Datasets.citeseer, Datasets.pubmed)
+      .map(c => Tasks.attributeInference(Datasets.load(c), trainRatio = 0.8, seed = 99L)._1)
+    for (gr <- Seq(g, gDangling, Fixtures.mid, Fixtures.midUndirected) ++ training) {
+      assert(CooOracle.same(gr.walkMatrix, CooOracle.walkMatrix(gr)), s"${gr.name} P")
+      val r = CooOracle.attrMatrix(gr)
+      assert(CooOracle.same(gr.attrRowNorm, r.rowNormalized), s"${gr.name} Rr")
+      assert(CooOracle.same(gr.attrColNorm, r.colNormalized), s"${gr.name} Rc")
+    }
   }
 
   test("out-of-range ids and non-finite weights fail loudly at construction") {

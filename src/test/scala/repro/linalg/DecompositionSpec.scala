@@ -145,7 +145,7 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
   }
 
   test("RandSvd works through the implicit PPR operator") {
-    val p = SparseMatrix.fromCoo(5, 5, Seq(
+    val p = CooOracle.fromTriples(5, 5, Seq(
       (0, 1, 1.0), (1, 2, 0.5), (1, 0, 0.5), (2, 3, 1.0), (3, 4, 1.0), (4, 0, 1.0)))
     val alpha = 0.2; val t = 8
     val op = new PprOp(p, alpha, t)
@@ -159,7 +159,7 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
   }
 
   test("PprOp matches the explicit truncated series") {
-    val p = SparseMatrix.fromCoo(4, 4, Seq(
+    val p = CooOracle.fromTriples(4, 4, Seq(
       (0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)))
     val alpha = 0.3; val t = 5
     val op = new PprOp(p, alpha, t)

@@ -113,7 +113,7 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
   test("row and col extract the right vectors") {
     val a = new DenseMatrix(2, 3, Array(1, 2, 3, 4, 5, 6).map(_.toDouble))
     assert(a.row(1).toSeq == Seq(4.0, 5.0, 6.0))
-    assert(a.colSlice(2, 3).data.toSeq == Seq(3.0, 6.0))
+    assert(a.transpose.row(2).toSeq == Seq(3.0, 6.0))
   }
 
   test("rowSums and colSums") {
@@ -126,8 +126,9 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     val a = new DenseMatrix(3, 3, (1 to 9).map(_.toDouble).toArray)
     val rs = a.rowSlice(1, 3)
     assert(rs.rows == 2 && rs.row(0).toSeq == Seq(4.0, 5.0, 6.0))
-    val cs = a.colSlice(1, 2)
-    assert(cs.cols == 1 && cs.data.toSeq == Seq(2.0, 5.0, 8.0))
+    // A column block is a row block of the transpose.
+    val cs = a.transpose.rowSlice(1, 2)
+    assert(cs.rows == 1 && cs.data.toSeq == Seq(2.0, 5.0, 8.0))
   }
 
   test("vstack stacks blocks in order") {

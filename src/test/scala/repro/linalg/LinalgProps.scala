@@ -62,7 +62,7 @@ object LinalgProps extends Properties("linalg") {
     forAll(dimGen, dimGen, seedGen, Gen.choose(0, 20)) { (r, c, s, n) =>
       val rnd = new scala.util.Random(s)
       val entries = List.fill(n)((rnd.nextInt(r), rnd.nextInt(c), rnd.nextDouble() + 0.1))
-      val m = SparseMatrix.fromCoo(r, c, entries).rowNormalized
+      val m = CooOracle.fromTriples(r, c, entries).rowNormalized
       (m.rowNormalized.toDense - m.toDense).maxAbs < 1e-12
     }
 
@@ -70,7 +70,7 @@ object LinalgProps extends Properties("linalg") {
     forAll(dimGen, dimGen, seedGen, Gen.choose(0, 20)) { (r, c, s, n) =>
       val rnd = new scala.util.Random(s)
       val entries = List.fill(n)((rnd.nextInt(r), rnd.nextInt(c), rnd.nextDouble() * 4 - 2))
-      val m = SparseMatrix.fromCoo(r, c, entries)
+      val m = CooOracle.fromTriples(r, c, entries)
       val x = mat(r, 3, s + 7)
       (m.tMul(x) - (m.toDense.transpose * x)).maxAbs < 1e-9
     }
