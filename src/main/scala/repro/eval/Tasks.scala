@@ -1,5 +1,6 @@
 package repro.eval
 
+import scala.collection.mutable
 import scala.util.Random
 import repro.graph.AttributedGraph
 
@@ -58,28 +59,59 @@ object Tasks {
     require(removeRatio > 0 && removeRatio < 1, "removeRatio in (0,1)")
     val rnd = new Random(seed)
     if (g.directed) {
-      val idx = rnd.shuffle((0 until g.m).toVector)
+      val idx = shuffledIndices(g.m, rnd)
       val nRemove = (g.m * removeRatio).toInt
-      val (removed, kept) = idx.splitAt(nRemove)
-      val residual = g.withEdges(kept.map(g.src).toArray, kept.map(g.dst).toArray)
-      val positives = removed.map(i => TestPair(g.src(i), g.dst(i), positive = true))
-      val negatives = sampleNonEdges(g, positives.size, rnd)
-      (residual, (positives ++ negatives).toArray)
+      val kept = java.util.Arrays.copyOfRange(idx, nRemove, g.m)
+      val residual = g.withEdges(kept.map(i => g.src(i)), kept.map(i => g.dst(i)))
+      val positives = Array.tabulate(nRemove)(r => TestPair(g.src(idx(r)), g.dst(idx(r)), positive = true))
+      (residual, positives ++ sampleNonEdges(g, nRemove, rnd))
     } else {
-      // Undirected: operate on canonical pairs so both directions of an
-      // edge are removed (and tested) together.
-      val pairs = (0 until g.m).map(i => (math.min(g.src(i), g.dst(i)), math.max(g.src(i), g.dst(i)))).distinct
-      val idx = rnd.shuffle(pairs.toVector)
-      val nRemove = (idx.size * removeRatio).toInt
-      val (removed, kept) = idx.splitAt(nRemove)
-      val src = Array.newBuilder[Int]
-      val dst = Array.newBuilder[Int]
-      kept.foreach { case (u, v) => src += u; dst += v; src += v; dst += u }
-      val residual = g.withEdges(src.result(), dst.result())
-      val positives = removed.map { case (u, v) => TestPair(u, v, positive = true) }
-      val negatives = sampleNonEdges(g, positives.size, rnd)
-      (residual, (positives ++ negatives).toArray)
+      // Undirected: operate on canonical pairs u <= v, as keys u·n + v in
+      // first-occurrence order, so both directions of an edge are removed
+      // (and tested) together.
+      val n = g.n.toLong
+      val seen = new mutable.LongMap[Unit]()
+      val keys = mutable.ArrayBuilder.make[Long]
+      var i = 0
+      while (i < g.m) {
+        val key = math.min(g.src(i), g.dst(i)) * n + math.max(g.src(i), g.dst(i))
+        if (!seen.contains(key)) { seen.update(key, ()); keys += key }
+        i += 1
+      }
+      val pairs = keys.result()
+      val shuffled = shuffledIndices(pairs.length, rnd).map(i => pairs(i))
+      val nRemove = (pairs.length * removeRatio).toInt
+      val src = new Array[Int](2 * (pairs.length - nRemove))
+      val dst = new Array[Int](src.length)
+      var r = nRemove
+      while (r < pairs.length) {
+        val u = (shuffled(r) / n).toInt
+        val v = (shuffled(r) % n).toInt
+        val e = 2 * (r - nRemove)
+        src(e) = u; dst(e) = v; src(e + 1) = v; dst(e + 1) = u
+        r += 1
+      }
+      val residual = g.withEdges(src, dst)
+      val positives = Array.tabulate(nRemove)(r => TestPair((shuffled(r) / n).toInt, (shuffled(r) % n).toInt, positive = true))
+      (residual, positives ++ sampleNonEdges(g, nRemove, rnd))
     }
+  }
+
+  /** The permutation `rnd.shuffle` applies to a sequence of `size`
+    * elements, drawing from `rnd` in the same order: for m from size down
+    * to 2, swap(m − 1, nextInt(m)).
+    */
+  private def shuffledIndices(size: Int, rnd: Random): Array[Int] = {
+    val idx = Array.range(0, size)
+    var m = size
+    while (m >= 2) {
+      val k = rnd.nextInt(m)
+      val tmp = idx(m - 1)
+      idx(m - 1) = idx(k)
+      idx(k) = tmp
+      m -= 1
+    }
+    idx
   }
 
   private def sampleNonEdges(g: AttributedGraph, count: Int, rnd: Random): Vector[TestPair] = {

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.HashPartitioner
+import org.apache.spark.{HashPartitioner, Partition, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -22,21 +22,30 @@ import repro.linalg.DenseMatrix
   *    broadcast (the dataflow analog of the paper's shared memory); each
   *    task runs [[Apmi.propagate]] for its column slice, finalizes F'
   *    in-block (column normalization is block-local) and emits one chunk
-  *    per node block. A partition stitches its chunks into F'[Vi] and
-  *    P_b[Vi], then row-normalizes B'[Vi] in place, with the same kernels
-  *    as [[Apmi.run]], so F' and B' equal the single-thread APMI bit for
-  *    bit.
+  *    per node block. A partition allocates F'[Vi] and P_b[Vi] once and
+  *    stitches each chunk into them as the shuffle reader yields it, then
+  *    row-normalizes B'[Vi] in place, with the same kernels as
+  *    [[Apmi.run]], so F' and B' equal the single-thread APMI bit for bit.
   *  - **SMGreedyInit** (Alg 7): [[ParallelPane.splitSvd]] on each block's
   *    F'[Vi], [[ParallelPane.mergeSvd]] on the driver, and
-  *    [[ParallelPane.initBlock]] per block, as in the pool.
-  *  - **PSVDCCD** (Alg 8): one job per sweep. Each block is copied (cached
-  *    parents stay immutable for lineage), patched for the previous sweep's
+  *    [[ParallelPane.initBlock]] per block, as in the pool. The init
+  *    consumes the [[AffBlock]]s: Sf and Sb are written over the block's own
+  *    F' and B' (Xb = B'·Y is taken first).
+  *  - **PSVDCCD** (Alg 8): one job per sweep over the one cached copy of the
+  *    CCD blocks. Each block is patched in place for the previous sweep's
   *    ΔYᵀ ([[SvdCcd.patchRows]]), swept by [[SvdCcd.nodeSweep]] and reduced to
   *    its Y-phase accumulator Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf,
   *    Hb = XbᵀXb ([[SvdCcd.attrGramRows]]). The driver sums the
   *    accumulators in block order and replays the coordinate updates
   *    ([[SvdCcd.attrReplay]], DESIGN.md §2); the ΔYᵀ it returns is the
   *    patch of the next sweep.
+  *
+  * So every stage holds one copy of the n·d state: F' and B', then Sf and
+  * Sb in the same arrays. In-place steps are guarded instead of copied: a
+  * consumed [[AffBlock]] and a [[CcdBlock]] that is not at rest after the
+  * sweeps the driver expects (a retried task, a block recomputed from
+  * lineage) fail with an `IllegalStateException` naming the block and the
+  * sweep, never run a step twice.
   *
   * Each stage runs under a job description (`papmi`, `sm-greedy-init`,
   * `ccd sweep i`), cleared when `embed` returns.
@@ -49,14 +58,60 @@ import repro.linalg.DenseMatrix
 object SparkPane extends Serializable {
 
   /** Node block i of `ranges(n, nb)`: its first node and its rows of F'
-    * and B'.
+    * and B'. SMGreedyInit takes over `f` and `b` for the residuals and marks
+    * the block consumed.
     */
-  final case class AffBlock(from: Int, f: DenseMatrix, b: DenseMatrix)
+  final case class AffBlock(from: Int, f: DenseMatrix, b: DenseMatrix) {
+    private var consumed = false
 
-  /** CCD state of one node block (its rows of Xf, Xb, Sf, Sb; `st.y` is the
-    * Y of its last X-phase) and the Y-phase accumulator of its last sweep.
+    private[spark] def requireUnconsumed(bi: Int): Unit =
+      if (consumed) throw new IllegalStateException(
+        s"PAPMI block $bi was consumed by an earlier SMGreedyInit: its F' and B' storage holds residuals")
+
+    private[spark] def consume(bi: Int): Unit = { requireUnconsumed(bi); consumed = true }
+  }
+
+  /** CCD state of one node block, its rows of Xf, Xb, Sf and Sb (Sf, Sb in
+    * the storage of its [[AffBlock]]), swept in place. `sweeps` counts the
+    * completed sweeps; `busy` marks one under way, so a task that failed
+    * part-way leaves the block unusable.
     */
-  private[spark] type CcdBlocks = RDD[(Int, (SvdCcd.State, Array[Double]))]
+  private[spark] final class CcdBlock(val xf: DenseMatrix, val xb: DenseMatrix,
+                                      val sf: DenseMatrix, val sb: DenseMatrix) extends Serializable {
+    private var sweeps = 0
+    private var busy = false
+
+    /** Throws unless the block is at rest after exactly `it` sweeps. */
+    def requireAt(bi: Int, it: Int): Unit =
+      if (busy || sweeps != it) throw new IllegalStateException(
+        s"CCD block $bi: sweep $it found the block " +
+          (if (busy) s"part-way through sweep $sweeps" else s"after $sweeps sweeps"))
+
+    /** Runs sweep number `it` in place on the block with Y = `y`. */
+    def sweep(bi: Int, it: Int, y: DenseMatrix)(step: SvdCcd.State => Unit): Unit = {
+      requireAt(bi, it)
+      busy = true
+      step(SvdCcd.State(xf, xb, y, sf, sb))
+      sweeps += 1
+      busy = false
+    }
+  }
+
+  /** The one cached RDD of [[CcdBlock]]s (block i in partition i), seen
+    * after `sweeps` sweeps. Every sweep returns a new view of the same
+    * cached blocks; unpersisting any view unpersists them.
+    */
+  private[spark] final class CcdBlocks(blocks: RDD[(Int, CcdBlock)], val sweeps: Int)
+      extends RDD[(Int, CcdBlock)](blocks) {
+    override protected def getPartitions: Array[Partition] = firstParent[(Int, CcdBlock)].partitions
+    override def compute(split: Partition, context: TaskContext): Iterator[(Int, CcdBlock)] =
+      firstParent[(Int, CcdBlock)].iterator(split, context)
+    override def unpersist(blocking: Boolean = false): this.type = {
+      firstParent[(Int, CcdBlock)].unpersist(blocking)
+      this
+    }
+    def next: CcdBlocks = new CcdBlocks(firstParent[(Int, CcdBlock)], sweeps + 1)
+  }
 
   /** Distributed PAPMI: one [[AffBlock]] per node block of `ranges(n, nb)`,
     * block i in partition i.
@@ -83,19 +138,20 @@ object SparkPane extends Serializable {
         }
     }
 
-    chunks.groupByKey(new HashPartitioner(nodeBlocks.length)).mapPartitions(_.map {
-      case (bi, parts) =>
-        val (from, until) = nodeBlocks(bi)
-        val rows = until - from
-        val f = DenseMatrix.zeros(rows, d)
-        val b = DenseMatrix.zeros(rows, d)
-        parts.foreach { case (ci, fc, pc) =>
-          Apmi.stitch(fc, f, colBlocks(ci)._1)
-          Apmi.stitch(pc, b, colBlocks(ci)._1)
-        }
-        // B' needs full rows: row-normalize then SPMI (Alg 2 Lines 7-8).
-        Apmi.spmiRows(b, 0, rows)
-        (bi, AffBlock(from, f, b))
+    // Partition bi receives exactly block bi's chunks; each is stitched as
+    // it arrives, into disjoint columns, so no chunk outlives its copy.
+    chunks.partitionBy(new HashPartitioner(nodeBlocks.length)).mapPartitionsWithIndex({ (bi, parts) =>
+      val (from, until) = nodeBlocks(bi)
+      val rows = until - from
+      val f = DenseMatrix.zeros(rows, d)
+      val b = DenseMatrix.zeros(rows, d)
+      parts.foreach { case (_, (ci, fc, pc)) =>
+        Apmi.stitch(fc, f, colBlocks(ci)._1)
+        Apmi.stitch(pc, b, colBlocks(ci)._1)
+      }
+      // B' needs full rows: row-normalize then SPMI (Alg 2 Lines 7-8).
+      Apmi.spmiRows(b, 0, rows)
+      Iterator.single((bi, AffBlock(from, f, b)))
     }, preservesPartitioning = true)
   }
 
@@ -119,25 +175,26 @@ object SparkPane extends Serializable {
 
     sc.setJobDescription("papmi")
     val aff = papmi(g, cfg.alpha, cfg.t, nb, spark).persist(StorageLevel.MEMORY_AND_DISK)
-    aff.count()
+    var (state, y) = try {
+      aff.count()
+      sc.setJobDescription("sm-greedy-init")
+      smGreedyInit(aff, cfg.k, cfg.t, cfg.seed)
+    } finally aff.unpersist()
 
-    sc.setJobDescription("sm-greedy-init")
-    var (state, y) = smGreedyInit(aff, cfg.k, cfg.t, cfg.seed)
-    aff.unpersist()
-
-    var deltaT = Array.emptyDoubleArray
-    var it = 0
-    while (it < cfg.refineIters) {
-      sc.setJobDescription(s"ccd sweep $it")
-      val (next, nextY, nextDeltaT) = sweep(state, y, deltaT)
-      state = next
-      y = nextY
-      deltaT = nextDeltaT
-      it += 1
-    }
-
-    val xs = state.mapValues { case (st, _) => (st.xf, st.xb) }.collect()
-    state.unpersist()
+    val xs = try {
+      var deltaT = Array.emptyDoubleArray
+      var it = 0
+      while (it < cfg.refineIters) {
+        sc.setJobDescription(s"ccd sweep $it")
+        val (next, nextY, nextDeltaT) = sweep(state, y, deltaT)
+        state = next
+        y = nextY
+        deltaT = nextDeltaT
+        it += 1
+      }
+      val sweeps = state.sweeps
+      state.map { case (bi, blk) => blk.requireAt(bi, sweeps); (bi, (blk.xf, blk.xb)) }.collect()
+    } finally state.unpersist()
     val xf = DenseMatrix.zeros(g.n, half)
     val xb = DenseMatrix.zeros(g.n, half)
     val nodeBlocks = ParallelPane.ranges(g.n, nb)
@@ -150,39 +207,45 @@ object SparkPane extends Serializable {
 
   /** SMGreedyInit (Alg 7) on the blocks of `aff`: the per-block split SVDs
     * in one job, the merge on the driver, then the per-block init in a
-    * second job. Returns the materialized CCD blocks (block i in partition
-    * i, empty accumulators) and Y.
+    * second job, which consumes `aff`'s blocks (their F' and B' storage
+    * becomes Sf and Sb). Returns the materialized CCD blocks (block i in
+    * partition i, before sweep 0) and Y.
     */
   private[spark] def smGreedyInit(aff: RDD[(Int, AffBlock)], k: Int, svdIters: Int,
                                   seed: Long): (CcdBlocks, DenseMatrix) = {
     val sc = aff.sparkContext
     val half = k / 2
     val split = aff.mapPartitions(_.map { case (bi, a) =>
+      a.requireUnconsumed(bi)
       (bi, (a, ParallelPane.splitSvd(a.f, bi, half, svdIters, seed)))
     }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK)
-    val vts = split.mapValues { case (_, (_, vt)) => vt }.collect().sortBy(_._1).map(_._2)
-    val (w, y) = ParallelPane.mergeSvd(vts.toSeq, half, svdIters, seed)
-    val bcW = sc.broadcast(w)
-    val bcY = sc.broadcast(y)
-    val state = split.mapPartitions(_.map { case (bi, (a, (ui, _))) =>
-      val rows = a.f.rows
-      val d = a.f.cols
-      val st = SvdCcd.State(DenseMatrix.zeros(rows, half), DenseMatrix.zeros(rows, half), bcY.value,
-        DenseMatrix.zeros(rows, d), DenseMatrix.zeros(rows, d))
-      ParallelPane.initBlock(st, a.f, a.b, 0, rows, ui, bcW.value, bi)
-      (bi, (st, Array.emptyDoubleArray))
-    }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK)
-    state.count() // materialize before unpersisting the parent
-    split.unpersist()
-    (state, y)
+    try {
+      val vts = split.mapValues { case (_, (_, vt)) => vt }.collect().sortBy(_._1).map(_._2)
+      val (w, y) = ParallelPane.mergeSvd(vts.toSeq, half, svdIters, seed)
+      val bcW = sc.broadcast(w)
+      val bcY = sc.broadcast(y)
+      val blocks = new CcdBlocks(split.mapPartitions(_.map { case (bi, (a, (ui, _))) =>
+        a.consume(bi)
+        val rows = a.f.rows
+        // Sf = Xf·Yᵀ − F' over F' row by row (each entry read before it is
+        // written), the same for Sb over B'.
+        val st = SvdCcd.State(DenseMatrix.zeros(rows, half), DenseMatrix.zeros(rows, half), bcY.value, a.f, a.b)
+        ParallelPane.initBlock(st, a.f, a.b, 0, rows, ui, bcW.value, bi)
+        (bi, new CcdBlock(st.xf, st.xb, st.sf, st.sb))
+      }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK), 0)
+      // Materialize before unpersisting the parent.
+      try blocks.count() catch { case e: Throwable => blocks.unpersist(); throw e }
+      (blocks, y)
+    } finally split.unpersist()
   }
 
-  /** One PSVDCCD sweep (Alg 8) in one job: per block, copy, apply the
+  /** One PSVDCCD sweep (Alg 8) in one job: per block, in place, apply the
     * previous sweep's patch S −= X·ΔYᵀ (none when `deltaT` is empty), run the
     * X-phase and fill the Y-phase accumulator; then, on the driver, sum the
     * accumulators in block-id order and replay the Y-phase. Returns the
-    * materialized new blocks (the old ones are unpersisted), the new Y and
-    * the ΔYᵀ the next sweep applies.
+    * blocks' view after this sweep (`state` no longer matches them: a
+    * second sweep on it fails), the new Y and the ΔYᵀ the next sweep
+    * applies.
     */
   private[spark] def sweep(state: CcdBlocks, y: DenseMatrix,
                            deltaT: Array[Double]): (CcdBlocks, DenseMatrix, Array[Double]) = {
@@ -191,17 +254,17 @@ object SparkPane extends Serializable {
     val d = y.rows
     val bcY = sc.broadcast(y)
     val bcDeltaT = sc.broadcast(deltaT)
-    val next = state.mapValues { case (prev, _) =>
-      val st = SvdCcd.State(prev.xf.copy, prev.xb.copy, bcY.value, prev.sf.copy, prev.sb.copy)
-      val rows = st.xf.rows
-      if (bcDeltaT.value.nonEmpty) SvdCcd.patchRows(st, bcDeltaT.value, 0, d)
-      SvdCcd.nodeSweep(st, 0, rows)
+    val it = state.sweeps
+    val accs = state.map { case (bi, blk) =>
       val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
-      SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, 0, d, rows, half, d, acc)
-      (st, acc)
-    }.persist(StorageLevel.MEMORY_AND_DISK)
-    val accs = next.mapValues(_._2).collect().sortBy(_._1).map(_._2)
-    state.unpersist()
+      blk.sweep(bi, it, bcY.value) { st =>
+        val rows = st.xf.rows
+        if (bcDeltaT.value.nonEmpty) SvdCcd.patchRows(st, bcDeltaT.value, 0, d)
+        SvdCcd.nodeSweep(st, 0, rows)
+        SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, 0, d, rows, half, d, acc)
+      }
+      (bi, acc)
+    }.collect().sortBy(_._1).map(_._2)
 
     // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14),
     // the same kernel SvdCcd.attrSweep runs on a column range.
@@ -212,7 +275,7 @@ object SparkPane extends Serializable {
     }
     val newY = y.copy
     val newDeltaT = SvdCcd.attrReplay(newY, agg, 0, d)
-    (next, newY, newDeltaT)
+    (state.next, newY, newDeltaT)
   }
 
   /** Collect distributed affinity blocks back to dense matrices — used by
@@ -221,7 +284,8 @@ object SparkPane extends Serializable {
   def collectAffinity(aff: RDD[(Int, AffBlock)], n: Int, d: Int): (DenseMatrix, DenseMatrix) = {
     val f = DenseMatrix.zeros(n, d)
     val b = DenseMatrix.zeros(n, d)
-    aff.values.collect().foreach { a =>
+    aff.collect().foreach { case (bi, a) =>
+      a.requireUnconsumed(bi)
       System.arraycopy(a.f.data, 0, f.data, a.from * d, a.f.data.length)
       System.arraycopy(a.b.data, 0, b.data, a.from * d, a.b.data.length)
     }

@@ -48,6 +48,33 @@ class SvdCcdSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](SvdCcd.randomInit(aff.fPrime, aff.bPrime, 0))
   }
 
+  test("residualRows written over F' and B' equals the separate-buffer call bit for bit") {
+    // k/2 = 3 and 5 run rowPatch's remainder loop, k/2 = 8 only its
+    // four-row passes; ranges start at row 0 and inside the matrix.
+    for ((half, d, n, from, until) <- Seq((3, 7, 13, 0, 13), (5, 9, 13, 4, 11), (8, 6, 10, 3, 10), (4, 1, 5, 2, 3))) {
+      val xf = DenseMatrix.randn(n, half, 11L + half)
+      val xb = DenseMatrix.randn(n, half, 12L + half)
+      val y = DenseMatrix.randn(d, half, 13L + half)
+      val f = DenseMatrix.randn(n, d, 14L + half)
+      val b = DenseMatrix.randn(n, d, 15L + half)
+      f.data(0) = 0.0
+      b.data(b.data.length - 1) = 0.0
+      // Separate buffers, pre-filled with F' and B' so rows outside the
+      // range compare too.
+      val sep = SvdCcd.State(xf, xb, y, f.copy, b.copy)
+      SvdCcd.residualRows(sep, f, b, from, until)
+      val fa = f.copy
+      val ba = b.copy
+      val alias = SvdCcd.State(xf, xb, y, fa, ba)
+      assert((alias.sf eq fa) && (alias.sb eq ba))
+      SvdCcd.residualRows(alias, fa, ba, from, until)
+      val where = s"k/2 = $half, d = $d, rows [$from, $until) of $n"
+      assert(java.util.Arrays.equals(fa.data, sep.sf.data), where)
+      assert(java.util.Arrays.equals(ba.data, sep.sb.data), where)
+      assert(!java.util.Arrays.equals(fa.data, f.data), where)
+    }
+  }
+
   test("CCD sweeps keep residuals consistent with embeddings") {
     val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
     SvdCcd.nodeSweep(st, 0, aff.fPrime.rows)

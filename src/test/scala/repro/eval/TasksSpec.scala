@@ -1,7 +1,9 @@
 package repro.eval
 
 import org.scalatest.funsuite.AnyFunSuite
+import scala.util.Random
 import repro.Fixtures
+import repro.graph.AttributedGraph
 
 class TasksSpec extends AnyFunSuite {
 
@@ -77,6 +79,59 @@ class TasksSpec extends AnyFunSuite {
     pairs.filterNot(_.positive).foreach { p =>
       assert(!gu.edgeSet.contains(p.i.toLong * gu.n + p.j))
       assert(!gu.edgeSet.contains(p.j.toLong * gu.n + p.i))
+    }
+  }
+
+  /** The boxed `Vector` link split `Tasks.linkPrediction` replaced, with
+    * its non-edge sampler, kept as the oracle of the array form.
+    */
+  private def vectorLinkSplit(g: AttributedGraph, removeRatio: Double,
+                              seed: Long): (AttributedGraph, Array[Tasks.TestPair]) = {
+    val rnd = new Random(seed)
+    def sampleNonEdges(count: Int): Vector[Tasks.TestPair] = {
+      val out = Vector.newBuilder[Tasks.TestPair]
+      var need = count
+      while (need > 0) {
+        val u = rnd.nextInt(g.n)
+        val v = rnd.nextInt(g.n)
+        val isEdge = g.edgeSet.contains(u.toLong * g.n + v) ||
+          (!g.directed && g.edgeSet.contains(v.toLong * g.n + u))
+        if (u != v && !isEdge) { out += Tasks.TestPair(u, v, positive = false); need -= 1 }
+      }
+      out.result()
+    }
+    if (g.directed) {
+      val idx = rnd.shuffle((0 until g.m).toVector)
+      val nRemove = (g.m * removeRatio).toInt
+      val (removed, kept) = idx.splitAt(nRemove)
+      val residual = g.withEdges(kept.map(g.src).toArray, kept.map(g.dst).toArray)
+      val positives = removed.map(i => Tasks.TestPair(g.src(i), g.dst(i), positive = true))
+      (residual, (positives ++ sampleNonEdges(positives.size)).toArray)
+    } else {
+      val pairs = (0 until g.m).map(i => (math.min(g.src(i), g.dst(i)), math.max(g.src(i), g.dst(i)))).distinct
+      val idx = rnd.shuffle(pairs.toVector)
+      val nRemove = (idx.size * removeRatio).toInt
+      val (removed, kept) = idx.splitAt(nRemove)
+      val src = Array.newBuilder[Int]
+      val dst = Array.newBuilder[Int]
+      kept.foreach { case (u, v) => src += u; dst += v; src += v; dst += u }
+      val residual = g.withEdges(src.result(), dst.result())
+      val positives = removed.map { case (u, v) => Tasks.TestPair(u, v, positive = true) }
+      (residual, (positives ++ sampleNonEdges(positives.size)).toArray)
+    }
+  }
+
+  test("the array link split equals the boxed Vector split exactly, directed and undirected") {
+    // A repeated edge and a reciprocal pair give the undirected dedupe
+    // later occurrences to drop.
+    val dup = gu.withEdges(gu.src ++ Array(gu.src(0), gu.dst(3)), gu.dst ++ Array(gu.dst(0), gu.src(3)))
+    for (graph <- Seq(g, gu, dup, Fixtures.tiny); seed <- Seq(1L, 77L, 2024L); ratio <- Seq(0.3, 0.5)) {
+      val (gRes, pairs) = Tasks.linkPrediction(graph, ratio, seed)
+      val (oRes, oPairs) = vectorLinkSplit(graph, ratio, seed)
+      val where = s"directed = ${graph.directed}, m = ${graph.m}, seed $seed, ratio $ratio"
+      assert(gRes.src.sameElements(oRes.src) && gRes.dst.sameElements(oRes.dst), where)
+      assert(gRes.n == oRes.n && gRes.directed == oRes.directed, where)
+      assert(pairs.toSeq == oPairs.toSeq, where)
     }
   }
 

@@ -71,6 +71,63 @@ class SparkPaneSpec extends SparkSpec {
     }
   }
 
+  /** The messages of `body`'s failure and of its causes, joined. */
+  private def failureMessages(body: => Any): String = {
+    val e = intercept[Exception](body)
+    Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage).mkString(" | ")
+  }
+
+  /** Xf of every block, by block id. */
+  private def xfBlocks(state: RDD[(Int, SparkPane.CcdBlock)]): Map[Int, Seq[Double]] =
+    state.mapValues(_.xf.data.toSeq).collect().toMap
+
+  test("a second sweep on the same cached blocks fails naming the block and the sweep, and changes nothing") {
+    val nb = 2
+    val aff = SparkPane.papmi(g, alpha, t, nb, spark)
+    val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+    val (next, y1, d1) = SparkPane.sweep(state, y, Array.emptyDoubleArray)
+    val msg = failureMessages(SparkPane.sweep(state, y, Array.emptyDoubleArray))
+    assert("CCD block [01]: sweep 0 found the block after 1 sweeps".r.findFirstIn(msg).nonEmpty, msg)
+    val (after, _, _) = SparkPane.sweep(next, y1, d1)
+    val msg2 = failureMessages(SparkPane.sweep(next, y1, d1))
+    assert("CCD block [01]: sweep 1 found the block after 2 sweeps".r.findFirstIn(msg2).nonEmpty, msg2)
+    val guarded = xfBlocks(after)
+    after.unpersist()
+
+    // The same two sweeps without the refused ones: the failures touched nothing.
+    val (clean0, cy) = SparkPane.smGreedyInit(SparkPane.papmi(g, alpha, t, nb, spark), k, 2, 42L)
+    val (clean1, cy1, cd1) = SparkPane.sweep(clean0, cy, Array.emptyDoubleArray)
+    val (clean2, _, _) = SparkPane.sweep(clean1, cy1, cd1)
+    assert(xfBlocks(clean2) == guarded)
+    clean2.unpersist()
+  }
+
+  test("a second smGreedyInit on the same PAPMI blocks fails naming the block") {
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val aff = SparkPane.papmi(g, alpha, t, 2, spark).cache()
+    val (state, _) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+    val msg = failureMessages(SparkPane.smGreedyInit(aff, k, 2, 42L))
+    assert("PAPMI block [01] was consumed by an earlier SMGreedyInit".r.findFirstIn(msg).nonEmpty, msg)
+    val msg2 = failureMessages(SparkPane.collectAffinity(aff, g.n, g.d))
+    assert("PAPMI block [01] was consumed".r.findFirstIn(msg2).nonEmpty, msg2)
+    state.unpersist()
+    aff.unpersist()
+    // The refused init left nothing persisted behind.
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
+  }
+
+  test("embed leaves the persistent RDDs exactly as it found them") {
+    val sc = spark.sparkContext
+    val kept = sc.parallelize(1 to 10, 2).cache()
+    kept.count()
+    val before = sc.getPersistentRDDs.toMap
+    SparkPane.embed(g, PaneConfig(k = k), Some(3))
+    val after = sc.getPersistentRDDs.toMap
+    assert(after.keySet == before.keySet && after.forall { case (id, r) => before(id) eq r })
+    assert(kept.getStorageLevel.useMemory)
+    kept.unpersist()
+  }
+
   /** Same blocks, seeds and kernels; only the summation order of the
     * Y-phase accumulators differs (per block on Spark, per attribute block
     * in the pool).
