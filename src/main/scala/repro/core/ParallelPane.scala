@@ -115,14 +115,14 @@ object ParallelPane {
   /** SMGreedyInit's per-block init (Alg 7 Lines 7–11) of node block `bi`,
     * rows [from, until) of `f`, `b` and `st`: Xf = Ui·W[bi], Xb = B'[Vi]·Y
     * with Y = st.y, then the rows' residuals Sf, Sb. The pool passes the
-    * full matrices and a block's range; Spark passes one block's matrices
-    * and all of their rows.
+    * full matrices and a block's range (B'[Vi] is copied out); Spark passes
+    * one block's matrices and all of their rows (B' is multiplied as is).
     */
   def initBlock(st: SvdCcd.State, f: DenseMatrix, b: DenseMatrix, from: Int, until: Int,
                 ui: DenseMatrix, w: DenseMatrix, bi: Int): Unit = {
     val half = st.y.cols
     val xfB = ui * w.rowSlice(bi * half, (bi + 1) * half)
-    val xbB = b.rowSlice(from, until) * st.y
+    val xbB = (if (from == 0 && until == b.rows) b else b.rowSlice(from, until)) * st.y
     System.arraycopy(xfB.data, 0, st.xf.data, from * half, xfB.data.length)
     System.arraycopy(xbB.data, 0, st.xb.data, from * half, xbB.data.length)
     SvdCcd.residualRows(st, f, b, from, until)

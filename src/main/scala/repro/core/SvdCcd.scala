@@ -112,49 +112,57 @@ object SvdCcd extends Serializable {
     }
   }
 
-  /** The node-row kernels for a fixed Y (k/2 columns, d rows): Yᵀ (l-major,
-    * k/2 × d) and H = YᵀY (k/2 × k/2), built once, plus O(k) scratch. Not
-    * thread-safe: each thread or Spark partition builds its own, and every
-    * instance built from the same Y gives bit-identical rows.
+  /** The node-row kernels for a fixed Y (k/2 columns, d rows): Yᵀ as k/2
+    * row arrays of length d and H = YᵀY (k/2 × k/2), built once, plus
+    * scratch rows for Sf[i] and Sb[i] and O(k) more. Every kernel works on
+    * staged rows, so each array in an inner loop is read at the same index
+    * (the form C2 vectorises, DESIGN.md §2). Not thread-safe: each thread or
+    * Spark partition builds its own, and every instance built from the same
+    * Y gives bit-identical rows.
     */
   final class RowKernels(y: DenseMatrix) {
     private val half = y.cols
     private val d = y.rows
-    private val yt = y.transpose.data
+    private val yt = lRows(y.transpose.data, 0, half, d)
     private val h = y.tMul(y).data
     private val gf = new Array[Double](half)
     private val gb = new Array[Double](half)
     private val dxf = new Array[Double](half)
     private val dxb = new Array[Double](half)
+    private val sfRow = new Array[Double](d)
+    private val sbRow = new Array[Double](d)
 
     /** The X-phase update of one node (Alg 4 Lines 4–9) by Gramian replay
       * (DESIGN.md §2). With the X rows at `xOff` and the residual rows at
-      * `sOff`:
+      * `sOff`, copied into the scratch rows once:
       *  1. g = S[i]·Y for Sf and Sb, one unit-stride pass over Yᵀ per four
       *     coordinates, eight independent sums;
       *  2. for each l in order, μ = g[l] / H[l,l] (Eq 16), X[i,l] −= μ and
       *     g −= μ·H[:,l], which is S[i]·Y after the step of Eq 18/19;
-      *  3. one patch S[i] −= ΔX[i]·Yᵀ ([[rowPatch]]).
+      *  3. one patch S[i] −= ΔX[i]·Yᵀ ([[patch]]), then the rows are copied
+      *     back.
       */
     def nodeRow(xf: Array[Double], xb: Array[Double], xOff: Int,
                 sf: Array[Double], sb: Array[Double], sOff: Int): Unit = {
+      System.arraycopy(sf, sOff, sfRow, 0, d)
+      System.arraycopy(sb, sOff, sbRow, 0, d)
       var l = 0
       while (l + 4 <= half) {
-        val o0 = l * d
-        val o1 = o0 + d
-        val o2 = o1 + d
-        val o3 = o2 + d
+        val y0 = yt(l)
+        val y1 = yt(l + 1)
+        val y2 = yt(l + 2)
+        val y3 = yt(l + 3)
         var f0, f1, f2, f3, b0, b1, b2, b3 = 0.0
         var j = 0
         while (j < d) {
-          val sfj = sf(sOff + j)
-          val sbj = sb(sOff + j)
-          val y0 = yt(o0 + j)
-          val y1 = yt(o1 + j)
-          val y2 = yt(o2 + j)
-          val y3 = yt(o3 + j)
-          f0 += sfj * y0; f1 += sfj * y1; f2 += sfj * y2; f3 += sfj * y3
-          b0 += sbj * y0; b1 += sbj * y1; b2 += sbj * y2; b3 += sbj * y3
+          val sfj = sfRow(j)
+          val sbj = sbRow(j)
+          val y0j = y0(j)
+          val y1j = y1(j)
+          val y2j = y2(j)
+          val y3j = y3(j)
+          f0 += sfj * y0j; f1 += sfj * y1j; f2 += sfj * y2j; f3 += sfj * y3j
+          b0 += sbj * y0j; b1 += sbj * y1j; b2 += sbj * y2j; b3 += sbj * y3j
           j += 1
         }
         gf(l) = f0; gf(l + 1) = f1; gf(l + 2) = f2; gf(l + 3) = f3
@@ -162,10 +170,10 @@ object SvdCcd extends Serializable {
         l += 4
       }
       while (l < half) {
-        val o0 = l * d
+        val y0 = yt(l)
         var f0, b0 = 0.0
         var j = 0
-        while (j < d) { f0 += sf(sOff + j) * yt(o0 + j); b0 += sb(sOff + j) * yt(o0 + j); j += 1 }
+        while (j < d) { f0 += sfRow(j) * y0(j); b0 += sbRow(j) * y0(j); j += 1 }
         gf(l) = f0
         gb(l) = b0
         l += 1
@@ -194,59 +202,88 @@ object SvdCcd extends Serializable {
         }
         l += 1
       }
-      rowPatch(dxf, 0, half, yt, d, sf, sOff)
-      rowPatch(dxb, 0, half, yt, d, sb, sOff)
+      patch(dxf, 0, half, yt, d, sfRow)
+      patch(dxb, 0, half, yt, d, sbRow)
+      System.arraycopy(sfRow, 0, sf, sOff, d)
+      System.arraycopy(sbRow, 0, sb, sOff, d)
     }
 
     /** Initial residual row S = X[i]·Yᵀ − F'[i] for the X row at `xOff` and
-      * the d entries of F' at `fOff`, written at `sOff`: S = −F'[i], then
-      * patched with the coefficients −X[i] ([[rowPatch]]).
+      * the d entries of F' at `fOff`, written at `sOff`: −F'[i] in a scratch
+      * row, patched with the coefficients −X[i] ([[patch]]), then copied
+      * out. F'[i] is read in full before S[i] is written, so `s` may be `f`.
       */
     def residualRow(x: Array[Double], xOff: Int, f: Array[Double], fOff: Int,
                     s: Array[Double], sOff: Int): Unit = {
       var j = 0
-      while (j < d) { s(sOff + j) = -f(fOff + j); j += 1 }
+      while (j < d) { sfRow(j) = -f(fOff + j); j += 1 }
       var l = 0
       while (l < half) { dxf(l) = -x(xOff + l); l += 1 }
-      rowPatch(dxf, 0, half, yt, d, s, sOff)
+      patch(dxf, 0, half, yt, d, sfRow)
+      System.arraycopy(sfRow, 0, s, sOff, d)
     }
   }
 
-  /** The one residual patch: s[sOff + c] −= Σ_l coef[cOff + l]·m[l·w + c]
-    * for c < w and l < half, where m is k/2 × w in l-major order. Four
-    * coordinates per pass over the row, so each entry of s is loaded and
-    * stored once per four rows of m. The X-phase calls it with ΔX[i] and
-    * Yᵀ, the Y-phase with X[i] and ΔYᵀ, the initial residual with −X[i]
-    * and Yᵀ.
+  /** The one residual patch, on a staged row: t[c] −= Σ_l coef[cOff + l]·m(l)(c)
+    * for c < w and l < half, m being k/2 row arrays. Four coordinates per
+    * pass over the row, so each entry of t is loaded and stored once per
+    * four rows of m, and every array is read at index c. The X-phase calls
+    * it with ΔX[i] and Yᵀ, the Y-phase with X[i] and ΔYᵀ, the initial
+    * residual with −X[i] and Yᵀ.
     */
-  def rowPatch(coef: Array[Double], cOff: Int, half: Int,
-               m: Array[Double], w: Int,
-               s: Array[Double], sOff: Int): Unit = {
+  private def patch(coef: Array[Double], cOff: Int, half: Int,
+                    m: Array[Array[Double]], w: Int, t: Array[Double]): Unit = {
     var l = 0
     while (l + 4 <= half) {
       val c0 = coef(cOff + l)
       val c1 = coef(cOff + l + 1)
       val c2 = coef(cOff + l + 2)
       val c3 = coef(cOff + l + 3)
-      val o0 = l * w
-      val o1 = o0 + w
-      val o2 = o1 + w
-      val o3 = o2 + w
+      val m0 = m(l)
+      val m1 = m(l + 1)
+      val m2 = m(l + 2)
+      val m3 = m(l + 3)
       var c = 0
       while (c < w) {
-        s(sOff + c) -= c0 * m(o0 + c) + c1 * m(o1 + c) + c2 * m(o2 + c) + c3 * m(o3 + c)
+        t(c) -= c0 * m0(c) + c1 * m1(c) + c2 * m2(c) + c3 * m3(c)
         c += 1
       }
       l += 4
     }
     while (l < half) {
       val c0 = coef(cOff + l)
-      val o0 = l * w
+      val m0 = m(l)
       var c = 0
-      while (c < w) { s(sOff + c) -= c0 * m(o0 + c); c += 1 }
+      while (c < w) { t(c) -= c0 * m0(c); c += 1 }
       l += 1
     }
   }
+
+  /** [[patch]] on the w entries of s at `sOff`, staged through the scratch
+    * row t (length >= w).
+    */
+  private def patchAt(coef: Array[Double], cOff: Int, half: Int, m: Array[Array[Double]], w: Int,
+                      s: Array[Double], sOff: Int, t: Array[Double]): Unit = {
+    System.arraycopy(s, sOff, t, 0, w)
+    patch(coef, cOff, half, m, w, t)
+    System.arraycopy(t, 0, s, sOff, w)
+  }
+
+  /** An l-major k/2 × w block at `off` (entry (l, c) at off + l·w + c) as
+    * k/2 row arrays.
+    */
+  private def lRows(a: Array[Double], off: Int, half: Int, w: Int): Array[Array[Double]] =
+    Array.tabulate(half)(l => java.util.Arrays.copyOfRange(a, off + l * w, off + (l + 1) * w))
+
+  /** One residual patch on flat arrays: s[sOff + c] −= Σ_l coef[cOff + l]·m[l·w + c]
+    * for c < w and l < half, where m is k/2 × w in l-major order. Splits m
+    * into rows and runs [[patch]] on a staged copy of the row; the sweeps
+    * split their m once per call instead.
+    */
+  def rowPatch(coef: Array[Double], cOff: Int, half: Int,
+               m: Array[Double], w: Int,
+               s: Array[Double], sOff: Int): Unit =
+    patchAt(coef, cOff, half, lRows(m, 0, half, w), w, s, sOff, new Array[Double](w))
 
   /** Y-phase (Lines 10–14 of Algorithm 4) for attributes [attrFrom, attrUntil),
     * by Gramian replay (DESIGN.md §2). Three row-major passes:
@@ -273,15 +310,18 @@ object SvdCcd extends Serializable {
 
   /** The Y-phase residual move on every node row: Sf −= Xf·ΔYᵀ and
     * Sb −= Xb·ΔYᵀ on columns [from, from + w), ΔYᵀ being k/2 × w, l-major
-    * ([[attrReplay]]'s result), one [[rowPatch]] per row.
+    * ([[attrReplay]]'s result). ΔYᵀ is split into row arrays once; each
+    * row is then one staged [[patch]].
     */
   def patchRows(st: State, deltaT: Array[Double], from: Int, w: Int): Unit = {
     val half = st.y.cols
     val d = st.y.rows
+    val dRows = lRows(deltaT, 0, half, w)
+    val t = new Array[Double](w)
     var i = 0
     while (i < st.xf.rows) {
-      rowPatch(st.xf.data, i * half, half, deltaT, w, st.sf.data, i * d + from)
-      rowPatch(st.xb.data, i * half, half, deltaT, w, st.sb.data, i * d + from)
+      patchAt(st.xf.data, i * half, half, dRows, w, st.sf.data, i * d + from, t)
+      patchAt(st.xb.data, i * half, half, dRows, w, st.sb.data, i * d + from, t)
       i += 1
     }
   }
@@ -293,9 +333,12 @@ object SvdCcd extends Serializable {
   def attrGramSize(half: Int, w: Int): Int = 2 * half * w + 2 * half * half
 
   /** Adds `rows` consecutive node rows to the Y-phase accumulator: X rows
-    * at r·k/2, the w residual entries of row r at sOff + r·sStride. Four
-    * node rows per pass over G, so each G entry is loaded and stored once
-    * per four rows.
+    * at r·k/2, the w residual entries of row r at sOff + r·sStride. Gf and
+    * Gb are held as row arrays while they accumulate and each group of four
+    * S rows is staged in scratch rows, so the G loop reads every array at
+    * the same index; four node rows per pass over G, so each G entry is
+    * loaded and stored once per four rows. G is written back to `acc` at
+    * the end, in the [[attrGramSize]] layout.
     */
   def attrGramRows(xf: Array[Double], xb: Array[Double],
                    sf: Array[Double], sb: Array[Double], sOff: Int, sStride: Int,
@@ -303,6 +346,9 @@ object SvdCcd extends Serializable {
     val gSize = half * w
     val hfBase = 2 * gSize
     val hbBase = 2 * gSize + half * half
+    val gf = lRows(acc, 0, half, w)
+    val gb = lRows(acc, gSize, half, w)
+    val sf0, sf1, sf2, sf3, sb0, sb1, sb2, sb3 = new Array[Double](w)
     var r = 0
     while (r + 4 <= rows) {
       val x0 = r * half
@@ -310,19 +356,20 @@ object SvdCcd extends Serializable {
       val x2 = x1 + half
       val x3 = x2 + half
       val s0 = sOff + r * sStride
-      val s1 = s0 + sStride
-      val s2 = s1 + sStride
-      val s3 = s2 + sStride
+      System.arraycopy(sf, s0, sf0, 0, w); System.arraycopy(sb, s0, sb0, 0, w)
+      System.arraycopy(sf, s0 + sStride, sf1, 0, w); System.arraycopy(sb, s0 + sStride, sb1, 0, w)
+      System.arraycopy(sf, s0 + 2 * sStride, sf2, 0, w); System.arraycopy(sb, s0 + 2 * sStride, sb2, 0, w)
+      System.arraycopy(sf, s0 + 3 * sStride, sf3, 0, w); System.arraycopy(sb, s0 + 3 * sStride, sb3, 0, w)
       var l = 0
       while (l < half) {
         val f0 = xf(x0 + l); val f1 = xf(x1 + l); val f2 = xf(x2 + l); val f3 = xf(x3 + l)
         val b0 = xb(x0 + l); val b1 = xb(x1 + l); val b2 = xb(x2 + l); val b3 = xb(x3 + l)
-        val gfOff = l * w
-        val gbOff = gSize + l * w
+        val gfl = gf(l)
+        val gbl = gb(l)
         var c = 0
         while (c < w) {
-          acc(gfOff + c) += f0 * sf(s0 + c) + f1 * sf(s1 + c) + f2 * sf(s2 + c) + f3 * sf(s3 + c)
-          acc(gbOff + c) += b0 * sb(s0 + c) + b1 * sb(s1 + c) + b2 * sb(s2 + c) + b3 * sb(s3 + c)
+          gfl(c) += f0 * sf0(c) + f1 * sf1(c) + f2 * sf2(c) + f3 * sf3(c)
+          gbl(c) += b0 * sb0(c) + b1 * sb1(c) + b2 * sb2(c) + b3 * sb3(c)
           c += 1
         }
         val hfOff = hfBase + l * half
@@ -340,16 +387,18 @@ object SvdCcd extends Serializable {
     while (r < rows) {
       val x0 = r * half
       val s0 = sOff + r * sStride
+      System.arraycopy(sf, s0, sf0, 0, w)
+      System.arraycopy(sb, s0, sb0, 0, w)
       var l = 0
       while (l < half) {
         val f0 = xf(x0 + l)
         val b0 = xb(x0 + l)
-        val gfOff = l * w
-        val gbOff = gSize + l * w
+        val gfl = gf(l)
+        val gbl = gb(l)
         var c = 0
         while (c < w) {
-          acc(gfOff + c) += f0 * sf(s0 + c)
-          acc(gbOff + c) += b0 * sb(s0 + c)
+          gfl(c) += f0 * sf0(c)
+          gbl(c) += b0 * sb0(c)
           c += 1
         }
         val hfOff = hfBase + l * half
@@ -364,6 +413,12 @@ object SvdCcd extends Serializable {
       }
       r += 1
     }
+    var l = 0
+    while (l < half) {
+      System.arraycopy(gf(l), 0, acc, l * w, w)
+      System.arraycopy(gb(l), 0, acc, gSize + l * w, w)
+      l += 1
+    }
   }
 
   /** Exact replay of the sequential Y-phase on attributes [from, from + w)
@@ -371,7 +426,7 @@ object SvdCcd extends Serializable {
     * then each l, μ = (Gf[l,rj] + Gb[l,rj]) / (Hf[l,l] + Hb[l,l]) (Eq 20),
     * Y[rj,l] −= μ, and G[·,rj] −= μ·H[·,l] carries the residual move of
     * column rj. Mutates `y` and the G part of `acc`; returns ΔYᵀ (k/2 × w,
-    * l-major, the layout [[rowPatch]] takes) with Y_new = Y_old − ΔY.
+    * l-major, the layout [[patchRows]] takes) with Y_new = Y_old − ΔY.
     */
   def attrReplay(y: DenseMatrix, acc: Array[Double], from: Int, w: Int): Array[Double] = {
     val half = y.cols

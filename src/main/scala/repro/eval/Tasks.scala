@@ -26,25 +26,36 @@ object Tasks {
                          seed: Long = 99L): (AttributedGraph, Array[TestPair]) = {
     require(trainRatio > 0 && trainRatio < 1, "trainRatio in (0,1)")
     val rnd = new Random(seed)
-    val idx = rnd.shuffle((0 until g.numAttrEntries).toVector)
-    val nTrain = (g.numAttrEntries * trainRatio).toInt
-    val (trainIdx, testIdx) = idx.splitAt(nTrain)
-    val gTrain = g.withAttrEntries(
-      trainIdx.map(g.attrNode).toArray,
-      trainIdx.map(g.attrId).toArray,
-      trainIdx.map(g.attrW).toArray)
-    val positives = testIdx.map(i => TestPair(g.attrNode(i), g.attrId(i), positive = true))
-    val negatives = Vector.newBuilder[TestPair]
-    var need = positives.size
+    val size = g.numAttrEntries
+    val idx = shuffledIndices(size, rnd)
+    val nTrain = (size * trainRatio).toInt
+    val node = new Array[Int](nTrain)
+    val attr = new Array[Int](nTrain)
+    val w = new Array[Double](nTrain)
+    var r = 0
+    while (r < nTrain) {
+      val e = idx(r)
+      node(r) = g.attrNode(e); attr(r) = g.attrId(e); w(r) = g.attrW(e)
+      r += 1
+    }
+    val gTrain = g.withAttrEntries(node, attr, w)
+    val nTest = size - nTrain
+    val pairs = new Array[TestPair](2 * nTest)
+    while (r < size) {
+      val e = idx(r)
+      pairs(r - nTrain) = TestPair(g.attrNode(e), g.attrId(e), positive = true)
+      r += 1
+    }
+    var need = nTest
     while (need > 0) {
       val vi = rnd.nextInt(g.n)
       val rj = rnd.nextInt(g.d)
       if (!g.attrEntrySet.contains(vi.toLong * g.d + rj)) {
-        negatives += TestPair(vi, rj, positive = false)
+        pairs(2 * nTest - need) = TestPair(vi, rj, positive = false)
         need -= 1
       }
     }
-    (gTrain, (positives ++ negatives.result()).toArray)
+    (gTrain, pairs)
   }
 
   /** Link-prediction split (§5.3): remove `removeRatio` of the edges
@@ -114,8 +125,8 @@ object Tasks {
     idx
   }
 
-  private def sampleNonEdges(g: AttributedGraph, count: Int, rnd: Random): Vector[TestPair] = {
-    val out = Vector.newBuilder[TestPair]
+  private def sampleNonEdges(g: AttributedGraph, count: Int, rnd: Random): Array[TestPair] = {
+    val out = new Array[TestPair](count)
     var need = count
     while (need > 0) {
       val u = rnd.nextInt(g.n)
@@ -123,11 +134,11 @@ object Tasks {
       val isEdge = g.edgeSet.contains(u.toLong * g.n + v) ||
         (!g.directed && g.edgeSet.contains(v.toLong * g.n + u))
       if (u != v && !isEdge) {
-        out += TestPair(u, v, positive = false)
+        out(count - need) = TestPair(u, v, positive = false)
         need -= 1
       }
     }
-    out.result()
+    out
   }
 
   /** Score test pairs with `scorer` and compute (AUC, AP). */

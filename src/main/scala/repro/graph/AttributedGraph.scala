@@ -137,19 +137,34 @@ final case class AttributedGraph(
     attrNode.indices.map(i => (attrNode(i), attrId(i), attrW(i))).toDF("node", "attr", "weight")
   }
 
-  /** Existing directed edges as a fast-membership set (negative sampling). */
-  lazy val edgeSet: java.util.HashSet[Long] = {
-    val s = new java.util.HashSet[Long](m * 2)
+  /** Existing directed edges, keyed src·n + dst (negative sampling). */
+  lazy val edgeSet: SortedKeys = {
+    val keys = new Array[Long](m)
     var i = 0
-    while (i < m) { s.add(src(i).toLong * n + dst(i)); i += 1 }
-    s
+    while (i < m) { keys(i) = src(i).toLong * n + dst(i); i += 1 }
+    SortedKeys(keys)
   }
 
-  /** Existing node-attribute pairs as a fast-membership set. */
-  lazy val attrEntrySet: java.util.HashSet[Long] = {
-    val s = new java.util.HashSet[Long](numAttrEntries * 2)
+  /** Existing node-attribute pairs, keyed node·d + attr. */
+  lazy val attrEntrySet: SortedKeys = {
+    val keys = new Array[Long](numAttrEntries)
     var i = 0
-    while (i < numAttrEntries) { s.add(attrNode(i).toLong * d + attrId(i)); i += 1 }
-    s
+    while (i < numAttrEntries) { keys(i) = attrNode(i).toLong * d + attrId(i); i += 1 }
+    SortedKeys(keys)
+  }
+}
+
+/** A membership set of Long keys: the keys sorted (repeats allowed), looked
+  * up by binary search, so neither building nor probing boxes a key.
+  */
+final class SortedKeys private (keys: Array[Long]) extends Serializable {
+  def contains(key: Long): Boolean = java.util.Arrays.binarySearch(keys, key) >= 0
+}
+
+object SortedKeys {
+  /** Sorts `keys` in place and takes them over. */
+  def apply(keys: Array[Long]): SortedKeys = {
+    java.util.Arrays.sort(keys)
+    new SortedKeys(keys)
   }
 }

@@ -49,6 +49,31 @@ class ParallelPaneSpec extends AnyFunSuite {
     assert((st.xb - (aff.bPrime * st.y)).maxAbs < 1e-10)
   }
 
+  test("initBlock on one block's own matrices, as Spark calls it, equals the pool's rows bit for bit") {
+    val aff = Apmi.run(g, alpha, t)
+    val (f, b) = (aff.fPrime, aff.bPrime)
+    val (n, d, half, seed) = (f.rows, f.cols, k / 2, 42L)
+    for (nb <- Seq(1, 4)) {
+      val pool = ParallelPane.smGreedyInit(f, b, k, svdIters = 4, nb = nb, seed = seed)
+      val blocks = ParallelPane.ranges(n, nb)
+      val split = blocks.zipWithIndex.map { case ((from, until), bi) =>
+        ParallelPane.splitSvd(f.rowSlice(from, until), bi, half, 4, seed)
+      }
+      val (w, y) = ParallelPane.mergeSvd(split.map(_._2), half, 4, seed)
+      assert(java.util.Arrays.equals(y.data, pool.y.data), s"Y at nb = $nb")
+      for (((from, until), bi) <- blocks.zipWithIndex) {
+        val rows = until - from
+        // The block's own F' and B', overwritten by Sf and Sb as on Spark.
+        val (fb, bb) = (f.rowSlice(from, until), b.rowSlice(from, until))
+        val own = SvdCcd.State(DenseMatrix.zeros(rows, half), DenseMatrix.zeros(rows, half), y, fb, bb)
+        ParallelPane.initBlock(own, fb, bb, 0, rows, split(bi)._1, w, bi)
+        val where = s"block $bi of nb = $nb"
+        for ((name, a, full) <- Seq(("Xf", own.xf, pool.xf), ("Xb", own.xb, pool.xb), ("Sf", own.sf, pool.sf), ("Sb", own.sb, pool.sb)))
+          assert(java.util.Arrays.equals(a.data, full.rowSlice(from, until).data), s"$name, $where")
+      }
+    }
+  }
+
   test("SMGreedyInit approximates F' comparably to GreedyInit (bounded degradation)") {
     val aff = Apmi.run(g, alpha, t)
     val single = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 6)

@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.linalg.DenseMatrix
+import SvdCcdSpec._
 
 class SvdCcdSpec extends AnyFunSuite {
 
@@ -245,6 +246,90 @@ class SvdCcdSpec extends AnyFunSuite {
     assert(java.util.Arrays.equals(acc.slice(half * d, 2 * half * d), gb2))
   }
 
+  test("staged rowPatch, nodeRow and residualRow equal the flat kernels bit for bit") {
+    // k/2 = 3 and 5 run the remainder loops, k/2 = 8 only the four-row
+    // passes; rows have lengths that are not multiples of 4 and start at
+    // offsets > 0; a quarter of the entries are exact zeros.
+    for (half <- Seq(3, 5, 8); w <- Seq(1, 7, 13)) {
+      val rnd = new scala.util.Random(300L + 17 * half + w)
+      val where = s"k/2 = $half, w = $w"
+      val (cOff, sOff) = (2, 5)
+      val coef = mixed(cOff + half, rnd)
+      val m = mixed(half * w, rnd)
+      val s1 = mixed(sOff + w + 3, rnd)
+      val s2 = s1.clone
+      SvdCcd.rowPatch(coef, cOff, half, m, w, s1, sOff)
+      flatRowPatch(coef, cOff, half, m, w, s2, sOff)
+      assert(java.util.Arrays.equals(s1, s2), s"rowPatch $where")
+
+      val y = new DenseMatrix(w, half, mixed(w * half, rnd))
+      if (half == 5) for (j <- 0 until w) y(j, 1) = 0.0 // H[1,1] = 0: the skipped coordinate
+      val (kern, flat) = (new SvdCcd.RowKernels(y), new FlatRowKernels(y))
+      val rows = 3
+      val (xOff, rOff) = (1, 2)
+      val xf1 = mixed(xOff + rows * half, rnd); val xb1 = mixed(xOff + rows * half, rnd)
+      val sf1 = mixed(rOff + rows * w + 1, rnd); val sb1 = mixed(rOff + rows * w + 1, rnd)
+      val (xf2, xb2, sf2, sb2) = (xf1.clone, xb1.clone, sf1.clone, sb1.clone)
+      for (i <- 0 until rows) {
+        kern.nodeRow(xf1, xb1, xOff + i * half, sf1, sb1, rOff + i * w)
+        flat.nodeRow(xf2, xb2, xOff + i * half, sf2, sb2, rOff + i * w)
+      }
+      assert(java.util.Arrays.equals(xf1, xf2) && java.util.Arrays.equals(xb1, xb2), s"nodeRow X $where")
+      assert(java.util.Arrays.equals(sf1, sf2) && java.util.Arrays.equals(sb1, sb2), s"nodeRow S $where")
+
+      val f = mixed(rOff + rows * w, rnd)
+      val r1 = mixed(rOff + rows * w, rnd)
+      val r2 = r1.clone
+      for (i <- 0 until rows) {
+        kern.residualRow(xf1, xOff + i * half, f, rOff + i * w, r1, rOff + i * w)
+        flat.residualRow(xf1, xOff + i * half, f, rOff + i * w, r2, rOff + i * w)
+      }
+      assert(java.util.Arrays.equals(r1, r2), s"residualRow $where")
+    }
+  }
+
+  test("staged attrGramRows equals the flat kernel bit for bit") {
+    // rows mod 4 = 1, 2, 3 and 0; sOff > 0 and sStride > w; the
+    // accumulator starts non-zero, as a second call on it would find it.
+    for (rows <- Seq(1, 4, 6, 7, 9); half <- Seq(3, 5, 8); w <- Seq(5, 7, 13)) {
+      val rnd = new scala.util.Random(500L + 100 * rows + 10 * half + w)
+      val (sOff, stride) = (3, w + 4)
+      val (xf, xb) = (mixed(rows * half, rnd), mixed(rows * half, rnd))
+      val (sf, sb) = (mixed(sOff + rows * stride, rnd), mixed(sOff + rows * stride, rnd))
+      val acc1 = mixed(SvdCcd.attrGramSize(half, w), rnd)
+      val acc2 = acc1.clone
+      SvdCcd.attrGramRows(xf, xb, sf, sb, sOff, stride, rows, half, w, acc1)
+      flatAttrGramRows(xf, xb, sf, sb, sOff, stride, rows, half, w, acc2)
+      assert(java.util.Arrays.equals(acc1, acc2), s"attrGramRows rows = $rows, k/2 = $half, w = $w")
+    }
+  }
+
+  test("nodeSweep, attrSweep and patchRows equal the flat-kernel sweeps bit for bit on sub-ranges") {
+    val (n, d) = (13, 11)
+    for (half <- Seq(3, 5, 8)) {
+      val rnd = new scala.util.Random(700L + half)
+      def mat(r: Int, c: Int) = new DenseMatrix(r, c, mixed(r * c, rnd))
+      val st1 = SvdCcd.State(mat(n, half), mat(n, half), mat(d, half), mat(n, d), mat(n, d))
+      val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+      def same(step: String): Unit = {
+        val where = s"k/2 = $half, $step"
+        assert(java.util.Arrays.equals(st1.xf.data, st2.xf.data), s"Xf $where")
+        assert(java.util.Arrays.equals(st1.xb.data, st2.xb.data), s"Xb $where")
+        assert(java.util.Arrays.equals(st1.y.data, st2.y.data), s"Y $where")
+        assert(java.util.Arrays.equals(st1.sf.data, st2.sf.data), s"Sf $where")
+        assert(java.util.Arrays.equals(st1.sb.data, st2.sb.data), s"Sb $where")
+      }
+      SvdCcd.nodeSweep(st1, 3, 10); flatNodeSweep(st2, 3, 10); same("nodeSweep [3, 10)")
+      SvdCcd.attrSweep(st1, 2, 9); flatAttrSweep(st2, 2, 9); same("attrSweep [2, 9)")
+      val deltaT = mixed(half * 5, rnd)
+      SvdCcd.patchRows(st1, deltaT, 3, 5); flatPatchRows(st2, deltaT, 3, 5); same("patchRows [3, 8)")
+      for (it <- 0 until 2) {
+        SvdCcd.nodeSweep(st1, 0, n); flatNodeSweep(st2, 0, n); same(s"full nodeSweep $it")
+        SvdCcd.attrSweep(st1, 0, d); flatAttrSweep(st2, 0, d); same(s"full attrSweep $it")
+      }
+    }
+  }
+
   test("psvdccd returns embeddings with the right shapes") {
     val e = ParallelPane.psvdccd(SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 2), iters = 2, nb = 1)
     assert(e.xf.rows == aff.fPrime.rows && e.xf.cols == k / 2)
@@ -340,4 +425,225 @@ class SvdCcdSpec extends AnyFunSuite {
 
   private def objectiveOf(st: SvdCcd.State): Double =
     SvdCcd.objective(aff.fPrime, aff.bPrime, Embeddings(st.xf, st.xb, st.y))
+}
+
+/** The CCD kernels in their flat form, reading the n×d residuals at
+  * per-row offsets: what [[SvdCcd]] ran before it staged rows, kept as the
+  * bit-for-bit oracle of the staged kernels (here and in the kernel bench).
+  */
+object SvdCcdSpec {
+
+  /** Random entries, about a quarter of them exact zeros. */
+  def mixed(len: Int, rnd: scala.util.Random): Array[Double] =
+    Array.fill(len)(if (rnd.nextInt(4) == 0) 0.0 else rnd.nextGaussian())
+
+  def flatRowPatch(coef: Array[Double], cOff: Int, half: Int,
+                   m: Array[Double], w: Int,
+                   s: Array[Double], sOff: Int): Unit = {
+    var l = 0
+    while (l + 4 <= half) {
+      val c0 = coef(cOff + l)
+      val c1 = coef(cOff + l + 1)
+      val c2 = coef(cOff + l + 2)
+      val c3 = coef(cOff + l + 3)
+      val o0 = l * w
+      val o1 = o0 + w
+      val o2 = o1 + w
+      val o3 = o2 + w
+      var c = 0
+      while (c < w) {
+        s(sOff + c) -= c0 * m(o0 + c) + c1 * m(o1 + c) + c2 * m(o2 + c) + c3 * m(o3 + c)
+        c += 1
+      }
+      l += 4
+    }
+    while (l < half) {
+      val c0 = coef(cOff + l)
+      val o0 = l * w
+      var c = 0
+      while (c < w) { s(sOff + c) -= c0 * m(o0 + c); c += 1 }
+      l += 1
+    }
+  }
+
+  final class FlatRowKernels(y: DenseMatrix) {
+    private val half = y.cols
+    private val d = y.rows
+    private val yt = y.transpose.data
+    private val h = y.tMul(y).data
+    private val gf = new Array[Double](half)
+    private val gb = new Array[Double](half)
+    private val dxf = new Array[Double](half)
+    private val dxb = new Array[Double](half)
+
+    def nodeRow(xf: Array[Double], xb: Array[Double], xOff: Int,
+                sf: Array[Double], sb: Array[Double], sOff: Int): Unit = {
+      var l = 0
+      while (l + 4 <= half) {
+        val o0 = l * d
+        val o1 = o0 + d
+        val o2 = o1 + d
+        val o3 = o2 + d
+        var f0, f1, f2, f3, b0, b1, b2, b3 = 0.0
+        var j = 0
+        while (j < d) {
+          val sfj = sf(sOff + j)
+          val sbj = sb(sOff + j)
+          val y0 = yt(o0 + j)
+          val y1 = yt(o1 + j)
+          val y2 = yt(o2 + j)
+          val y3 = yt(o3 + j)
+          f0 += sfj * y0; f1 += sfj * y1; f2 += sfj * y2; f3 += sfj * y3
+          b0 += sbj * y0; b1 += sbj * y1; b2 += sbj * y2; b3 += sbj * y3
+          j += 1
+        }
+        gf(l) = f0; gf(l + 1) = f1; gf(l + 2) = f2; gf(l + 3) = f3
+        gb(l) = b0; gb(l + 1) = b1; gb(l + 2) = b2; gb(l + 3) = b3
+        l += 4
+      }
+      while (l < half) {
+        val o0 = l * d
+        var f0, b0 = 0.0
+        var j = 0
+        while (j < d) { f0 += sf(sOff + j) * yt(o0 + j); b0 += sb(sOff + j) * yt(o0 + j); j += 1 }
+        gf(l) = f0
+        gb(l) = b0
+        l += 1
+      }
+      l = 0
+      while (l < half) {
+        val hOff = l * half
+        val hll = h(hOff + l)
+        if (hll > 1e-300) {
+          val muF = gf(l) / hll
+          val muB = gb(l) / hll
+          xf(xOff + l) -= muF
+          xb(xOff + l) -= muB
+          dxf(l) = muF
+          dxb(l) = muB
+          var l2 = l + 1
+          while (l2 < half) {
+            val hv = h(hOff + l2)
+            gf(l2) -= muF * hv
+            gb(l2) -= muB * hv
+            l2 += 1
+          }
+        } else {
+          dxf(l) = 0.0
+          dxb(l) = 0.0
+        }
+        l += 1
+      }
+      flatRowPatch(dxf, 0, half, yt, d, sf, sOff)
+      flatRowPatch(dxb, 0, half, yt, d, sb, sOff)
+    }
+
+    def residualRow(x: Array[Double], xOff: Int, f: Array[Double], fOff: Int,
+                    s: Array[Double], sOff: Int): Unit = {
+      var j = 0
+      while (j < d) { s(sOff + j) = -f(fOff + j); j += 1 }
+      var l = 0
+      while (l < half) { dxf(l) = -x(xOff + l); l += 1 }
+      flatRowPatch(dxf, 0, half, yt, d, s, sOff)
+    }
+  }
+
+  def flatAttrGramRows(xf: Array[Double], xb: Array[Double],
+                       sf: Array[Double], sb: Array[Double], sOff: Int, sStride: Int,
+                       rows: Int, half: Int, w: Int, acc: Array[Double]): Unit = {
+    val gSize = half * w
+    val hfBase = 2 * gSize
+    val hbBase = 2 * gSize + half * half
+    var r = 0
+    while (r + 4 <= rows) {
+      val x0 = r * half
+      val x1 = x0 + half
+      val x2 = x1 + half
+      val x3 = x2 + half
+      val s0 = sOff + r * sStride
+      val s1 = s0 + sStride
+      val s2 = s1 + sStride
+      val s3 = s2 + sStride
+      var l = 0
+      while (l < half) {
+        val f0 = xf(x0 + l); val f1 = xf(x1 + l); val f2 = xf(x2 + l); val f3 = xf(x3 + l)
+        val b0 = xb(x0 + l); val b1 = xb(x1 + l); val b2 = xb(x2 + l); val b3 = xb(x3 + l)
+        val gfOff = l * w
+        val gbOff = gSize + l * w
+        var c = 0
+        while (c < w) {
+          acc(gfOff + c) += f0 * sf(s0 + c) + f1 * sf(s1 + c) + f2 * sf(s2 + c) + f3 * sf(s3 + c)
+          acc(gbOff + c) += b0 * sb(s0 + c) + b1 * sb(s1 + c) + b2 * sb(s2 + c) + b3 * sb(s3 + c)
+          c += 1
+        }
+        val hfOff = hfBase + l * half
+        val hbOff = hbBase + l * half
+        var l2 = 0
+        while (l2 < half) {
+          acc(hfOff + l2) += f0 * xf(x0 + l2) + f1 * xf(x1 + l2) + f2 * xf(x2 + l2) + f3 * xf(x3 + l2)
+          acc(hbOff + l2) += b0 * xb(x0 + l2) + b1 * xb(x1 + l2) + b2 * xb(x2 + l2) + b3 * xb(x3 + l2)
+          l2 += 1
+        }
+        l += 1
+      }
+      r += 4
+    }
+    while (r < rows) {
+      val x0 = r * half
+      val s0 = sOff + r * sStride
+      var l = 0
+      while (l < half) {
+        val f0 = xf(x0 + l)
+        val b0 = xb(x0 + l)
+        val gfOff = l * w
+        val gbOff = gSize + l * w
+        var c = 0
+        while (c < w) {
+          acc(gfOff + c) += f0 * sf(s0 + c)
+          acc(gbOff + c) += b0 * sb(s0 + c)
+          c += 1
+        }
+        val hfOff = hfBase + l * half
+        val hbOff = hbBase + l * half
+        var l2 = 0
+        while (l2 < half) {
+          acc(hfOff + l2) += f0 * xf(x0 + l2)
+          acc(hbOff + l2) += b0 * xb(x0 + l2)
+          l2 += 1
+        }
+        l += 1
+      }
+      r += 1
+    }
+  }
+
+  /** [[SvdCcd.nodeSweep]] on the flat kernel. */
+  def flatNodeSweep(st: SvdCcd.State, rowFrom: Int, rowUntil: Int): Unit = {
+    val half = st.xf.cols
+    val d = st.y.rows
+    val kern = new FlatRowKernels(st.y)
+    for (i <- rowFrom until rowUntil) kern.nodeRow(st.xf.data, st.xb.data, i * half, st.sf.data, st.sb.data, i * d)
+  }
+
+  /** [[SvdCcd.patchRows]] on the flat kernel. */
+  def flatPatchRows(st: SvdCcd.State, deltaT: Array[Double], from: Int, w: Int): Unit = {
+    val half = st.y.cols
+    val d = st.y.rows
+    for (i <- 0 until st.xf.rows) {
+      flatRowPatch(st.xf.data, i * half, half, deltaT, w, st.sf.data, i * d + from)
+      flatRowPatch(st.xb.data, i * half, half, deltaT, w, st.sb.data, i * d + from)
+    }
+  }
+
+  /** [[SvdCcd.attrSweep]] on the flat kernels ([[SvdCcd.attrReplay]] is
+    * unchanged).
+    */
+  def flatAttrSweep(st: SvdCcd.State, attrFrom: Int, attrUntil: Int): Unit = {
+    val half = st.y.cols
+    val d = st.y.rows
+    val w = attrUntil - attrFrom
+    val acc = new Array[Double](SvdCcd.attrGramSize(half, w))
+    flatAttrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, attrFrom, d, st.xf.rows, half, w, acc)
+    flatPatchRows(st, SvdCcd.attrReplay(st.y, acc, attrFrom, w), attrFrom, w)
+  }
 }

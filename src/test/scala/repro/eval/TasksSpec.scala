@@ -135,6 +135,49 @@ class TasksSpec extends AnyFunSuite {
     }
   }
 
+  /** The boxed `Vector` attribute split `Tasks.attributeInference`
+    * replaced, with the boxed `HashSet` it sampled negatives against, kept
+    * as the oracle of the array form.
+    */
+  private def vectorAttrSplit(g: AttributedGraph, trainRatio: Double,
+                              seed: Long): (AttributedGraph, Array[Tasks.TestPair]) = {
+    val entries = new java.util.HashSet[Long]()
+    for (i <- 0 until g.numAttrEntries) entries.add(g.attrNode(i).toLong * g.d + g.attrId(i))
+    val rnd = new Random(seed)
+    val idx = rnd.shuffle((0 until g.numAttrEntries).toVector)
+    val nTrain = (g.numAttrEntries * trainRatio).toInt
+    val (trainIdx, testIdx) = idx.splitAt(nTrain)
+    val gTrain = g.withAttrEntries(
+      trainIdx.map(g.attrNode).toArray,
+      trainIdx.map(g.attrId).toArray,
+      trainIdx.map(g.attrW).toArray)
+    val positives = testIdx.map(i => Tasks.TestPair(g.attrNode(i), g.attrId(i), positive = true))
+    val negatives = Vector.newBuilder[Tasks.TestPair]
+    var need = positives.size
+    while (need > 0) {
+      val vi = rnd.nextInt(g.n)
+      val rj = rnd.nextInt(g.d)
+      if (!entries.contains(vi.toLong * g.d + rj)) {
+        negatives += Tasks.TestPair(vi, rj, positive = false)
+        need -= 1
+      }
+    }
+    (gTrain, (positives ++ negatives.result()).toArray)
+  }
+
+  test("the array attribute split equals the boxed Vector split exactly") {
+    for (graph <- Seq(g, gu, Fixtures.tiny); seed <- Seq(1L, 99L, 2024L); ratio <- Seq(0.5, 0.8, 0.9)) {
+      val (gTrain, pairs) = Tasks.attributeInference(graph, ratio, seed)
+      val (oTrain, oPairs) = vectorAttrSplit(graph, ratio, seed)
+      val where = s"n = ${graph.n}, entries = ${graph.numAttrEntries}, seed $seed, ratio $ratio"
+      assert(gTrain.attrNode.sameElements(oTrain.attrNode), where)
+      assert(gTrain.attrId.sameElements(oTrain.attrId), where)
+      assert(gTrain.attrW.sameElements(oTrain.attrW), where)
+      assert(gTrain.src.sameElements(oTrain.src) && gTrain.dst.sameElements(oTrain.dst), where)
+      assert(pairs.toSeq == oPairs.toSeq, where)
+    }
+  }
+
   test("splits are deterministic in the seed") {
     val (_, p1) = Tasks.linkPrediction(g, seed = 9L)
     val (_, p2) = Tasks.linkPrediction(g, seed = 9L)

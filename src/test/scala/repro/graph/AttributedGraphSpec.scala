@@ -122,6 +122,22 @@ class AttributedGraphSpec extends AnyFunSuite {
     assert(!g.attrEntrySet.contains(0L * g.d + 2))
   }
 
+  test("edgeSet and attrEntrySet answer every probe as a HashSet of the same keys does") {
+    val mid = Fixtures.mid
+    val dup = mid.withEdges(mid.src ++ Array(mid.src(0), mid.src(5)), mid.dst ++ Array(mid.dst(0), mid.dst(5)))
+    for (graph <- Seq(g, mid, dup, Fixtures.tiny)) {
+      val edges = new java.util.HashSet[Long]()
+      for (i <- 0 until graph.m) edges.add(graph.src(i).toLong * graph.n + graph.dst(i))
+      val entries = new java.util.HashSet[Long]()
+      for (i <- 0 until graph.numAttrEntries) entries.add(graph.attrNode(i).toLong * graph.d + graph.attrId(i))
+      // Every key in range, plus one past each end.
+      for (key <- -1L to graph.n.toLong * graph.n)
+        assert(graph.edgeSet.contains(key) == edges.contains(key), s"edge key $key, n = ${graph.n}")
+      for (key <- -1L to graph.n.toLong * graph.d)
+        assert(graph.attrEntrySet.contains(key) == entries.contains(key), s"entry key $key, n = ${graph.n}")
+    }
+  }
+
   test("numLabels handles empty label sets") {
     val a = g.copy(labels = Array.fill(6)(Array.empty[Int]))
     assert(a.numLabels == 0)
