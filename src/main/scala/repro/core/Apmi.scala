@@ -179,11 +179,4 @@ object Apmi {
       i += 1
     }
   }
-
-  /** The un-normalized truncated walk distributions P_f^{(t)}, P_b^{(t)}
-    * of Equation (6) — exposed for Lemma 3.1's bound tests.
-    */
-  def truncatedDistributions(g: AttributedGraph, alpha: Double, t: Int): (DenseMatrix, DenseMatrix) =
-    (DenseMatrix.fromRows(propagate(g.walkMatrix, g.attrRowNorm, alpha, t, 0, g.d).toSeq),
-      DenseMatrix.fromRows(propagate(transposeCsr(g.walkMatrix), g.attrColNorm, alpha, t, 0, g.d).toSeq))
 }

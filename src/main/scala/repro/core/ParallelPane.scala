@@ -22,13 +22,29 @@ import repro.linalg.{DenseMatrix, SparseMatrix}
   */
 object ParallelPane {
 
-  /** Run `tasks` on `nb` pool threads, propagating the first failure. */
-  private def runAll(nb: Int, tasks: Seq[() => Unit]): Unit = {
-    val pool = Executors.newFixedThreadPool(nb)
-    try {
-      val futures = pool.invokeAll(tasks.map(t => new Callable[Unit] { def call(): Unit = t() }).asJava)
-      futures.asScala.foreach(_.get()) // rethrows task exceptions
-    } finally pool.shutdown()
+  /** Where the block tasks of one call run: inline on the caller's thread
+    * at nb = 1, else on one fixed pool of nb threads that every phase of the
+    * call shares. Each phase is one [[runAll]]; the results do not depend on
+    * which threads ran the tasks.
+    */
+  private final class Runner(val nb: Int) {
+    private val pool = if (nb > 1) Some(Executors.newFixedThreadPool(nb)) else None
+
+    /** Runs `tasks` to completion, propagating the first failure. */
+    def runAll(tasks: Seq[() => Unit]): Unit = pool match {
+      case None => tasks.foreach(_())
+      case Some(p) =>
+        val futures = p.invokeAll(tasks.map(t => new Callable[Unit] { def call(): Unit = t() }).asJava)
+        futures.asScala.foreach(_.get()) // rethrows task exceptions
+    }
+
+    def shutdown(): Unit = pool.foreach(_.shutdown())
+  }
+
+  /** `body` on a [[Runner]] for `nb` blocks, shut down when it returns. */
+  private def withRunner[A](nb: Int)(body: Runner => A): A = {
+    val run = new Runner(nb)
+    try body(run) finally run.shutdown()
   }
 
   /** Split [0, size) into at most `nb` near-equal contiguous ranges. */
@@ -50,7 +66,11 @@ object ParallelPane {
     * gives the same F' and B' bit for bit (Lemma 4.1).
     */
   def papmi(p: SparseMatrix, rr: SparseMatrix, rc: SparseMatrix,
-            alpha: Double, t: Int, nb: Int): (DenseMatrix, DenseMatrix) = {
+            alpha: Double, t: Int, nb: Int): (DenseMatrix, DenseMatrix) =
+    withRunner(nb)(papmi(p, rr, rc, alpha, t, _))
+
+  private def papmi(p: SparseMatrix, rr: SparseMatrix, rc: SparseMatrix,
+                    alpha: Double, t: Int, run: Runner): (DenseMatrix, DenseMatrix) = {
     require(t >= 1, "need at least one iteration")
     val n = p.rows
     val d = rr.cols
@@ -58,27 +78,31 @@ object ParallelPane {
     // Column blocks write disjoint columns of the shared outputs.
     val fP = DenseMatrix.zeros(n, d)
     val bP = DenseMatrix.zeros(n, d)
-    runAll(nb, ranges(d, nb).map { case (from, until) =>
+    run.runAll(ranges(d, run.nb).map { case (from, until) =>
       () => {
         Apmi.stitch(Apmi.spmiCols(Apmi.propagate(p, rr, alpha, t, from, until)), fP, from)
         Apmi.stitch(Apmi.propagate(pT, rc, alpha, t, from, until), bP, from)
       }
     })
-    runAll(nb, ranges(n, nb).map { case (from, until) => () => Apmi.spmiRows(bP, from, until) })
+    run.runAll(ranges(n, run.nb).map { case (from, until) => () => Apmi.spmiRows(bP, from, until) })
     (fP, bP)
   }
 
   /** Algorithm 7 — SMGreedyInit: split-merge parallel SVD seeding. */
   def smGreedyInit(f: DenseMatrix, b: DenseMatrix, k: Int, svdIters: Int,
-                   nb: Int, seed: Long = 42L): SvdCcd.State = {
+                   nb: Int, seed: Long = 42L): SvdCcd.State =
+    withRunner(nb)(smGreedyInit(f, b, k, svdIters, seed, _))
+
+  private def smGreedyInit(f: DenseMatrix, b: DenseMatrix, k: Int, svdIters: Int,
+                           seed: Long, run: Runner): SvdCcd.State = {
     require(k >= 2 && k % 2 == 0, s"space budget k must be even and >= 2, got $k")
     val half = k / 2
     val n = f.rows
     val d = f.cols
-    val nodeBlocks = ranges(n, nb)
+    val nodeBlocks = ranges(n, run.nb)
     val us = new Array[DenseMatrix](nodeBlocks.length)
     val vts = new Array[DenseMatrix](nodeBlocks.length)
-    runAll(nb, nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
+    run.runAll(nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
       () => {
         val (ui, vt) = splitSvd(f.rowSlice(from, until), bi, half, svdIters, seed)
         us(bi) = ui
@@ -88,7 +112,7 @@ object ParallelPane {
     val (w, y) = mergeSvd(vts.toSeq, half, svdIters, seed)
     val st = SvdCcd.State(DenseMatrix.zeros(n, half), DenseMatrix.zeros(n, half), y,
       DenseMatrix.zeros(n, d), DenseMatrix.zeros(n, d))
-    runAll(nb, nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
+    run.runAll(nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
       () => initBlock(st, f, b, from, until, us(bi), w, bi)
     })
     st
@@ -134,24 +158,27 @@ object ParallelPane {
     * `ranges(d, nb)`. Every nb gives the same result bit for bit; nb = 1 is
     * Algorithm 4's sequential loop.
     */
-  def psvdccd(st: SvdCcd.State, iters: Int, nb: Int): Embeddings = {
+  def psvdccd(st: SvdCcd.State, iters: Int, nb: Int): Embeddings =
+    withRunner(nb)(psvdccd(st, iters, _))
+
+  private def psvdccd(st: SvdCcd.State, iters: Int, run: Runner): Embeddings = {
+    val nodeBlocks = ranges(st.xf.rows, run.nb)
+    val attrBlocks = ranges(st.y.rows, run.nb)
     var it = 0
     while (it < iters) {
-      runAll(nb, ranges(st.xf.rows, nb).map { case (from, until) =>
-        () => SvdCcd.nodeSweep(st, from, until)
-      })
-      runAll(nb, ranges(st.y.rows, nb).map { case (from, until) =>
-        () => SvdCcd.attrSweep(st, from, until)
-      })
+      run.runAll(nodeBlocks.map { case (from, until) => () => SvdCcd.nodeSweep(st, from, until) })
+      run.runAll(attrBlocks.map { case (from, until) => () => SvdCcd.attrSweep(st, from, until) })
       it += 1
     }
     Embeddings(st.xf, st.xb, st.y)
   }
 
-  /** Algorithm 5 — parallel PANE end to end. */
+  /** Algorithm 5 — parallel PANE end to end, every phase on one pool. */
   def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig(), nb: Int): Embeddings = {
     cfg.requireK(g.n, g.d, nb)
-    val (fP, bP) = papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, cfg.alpha, cfg.t, nb)
-    psvdccd(smGreedyInit(fP, bP, cfg.k, cfg.t, nb, cfg.seed), cfg.refineIters, nb)
+    withRunner(nb) { run =>
+      val (fP, bP) = papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, cfg.alpha, cfg.t, run)
+      psvdccd(smGreedyInit(fP, bP, cfg.k, cfg.t, cfg.seed, run), cfg.refineIters, run)
+    }
   }
 }

@@ -262,8 +262,8 @@ object SvdCcd extends Serializable {
   /** [[patch]] on the w entries of s at `sOff`, staged through the scratch
     * row t (length >= w).
     */
-  private def patchAt(coef: Array[Double], cOff: Int, half: Int, m: Array[Array[Double]], w: Int,
-                      s: Array[Double], sOff: Int, t: Array[Double]): Unit = {
+  private[core] def patchAt(coef: Array[Double], cOff: Int, half: Int, m: Array[Array[Double]], w: Int,
+                            s: Array[Double], sOff: Int, t: Array[Double]): Unit = {
     System.arraycopy(s, sOff, t, 0, w)
     patch(coef, cOff, half, m, w, t)
     System.arraycopy(t, 0, s, sOff, w)
@@ -272,18 +272,8 @@ object SvdCcd extends Serializable {
   /** An l-major k/2 × w block at `off` (entry (l, c) at off + l·w + c) as
     * k/2 row arrays.
     */
-  private def lRows(a: Array[Double], off: Int, half: Int, w: Int): Array[Array[Double]] =
+  private[core] def lRows(a: Array[Double], off: Int, half: Int, w: Int): Array[Array[Double]] =
     Array.tabulate(half)(l => java.util.Arrays.copyOfRange(a, off + l * w, off + (l + 1) * w))
-
-  /** One residual patch on flat arrays: s[sOff + c] −= Σ_l coef[cOff + l]·m[l·w + c]
-    * for c < w and l < half, where m is k/2 × w in l-major order. Splits m
-    * into rows and runs [[patch]] on a staged copy of the row; the sweeps
-    * split their m once per call instead.
-    */
-  def rowPatch(coef: Array[Double], cOff: Int, half: Int,
-               m: Array[Double], w: Int,
-               s: Array[Double], sOff: Int): Unit =
-    patchAt(coef, cOff, half, lRows(m, 0, half, w), w, s, sOff, new Array[Double](w))
 
   /** Y-phase (Lines 10–14 of Algorithm 4) for attributes [attrFrom, attrUntil),
     * by Gramian replay (DESIGN.md §2). Three row-major passes:
@@ -335,10 +325,14 @@ object SvdCcd extends Serializable {
   /** Adds `rows` consecutive node rows to the Y-phase accumulator: X rows
     * at r·k/2, the w residual entries of row r at sOff + r·sStride. Gf and
     * Gb are held as row arrays while they accumulate and each group of four
-    * S rows is staged in scratch rows, so the G loop reads every array at
+    * S rows is staged in scratch rows, so the G loops read every array at
     * the same index; four node rows per pass over G, so each G entry is
-    * loaded and stored once per four rows. G is written back to `acc` at
-    * the end, in the [[attrGramSize]] layout.
+    * loaded and stored once per four rows. Every inner loop updates one
+    * output array (Gf[l], then Gb[l], then Hf[l], then Hb[l]): C2 runs a
+    * one-output loop over twice as fast as the same terms updating two
+    * outputs per iteration (DESIGN.md §2), and each entry keeps its terms
+    * and their order. G is written back to `acc` at the end, in the
+    * [[attrGramSize]] layout.
     */
   def attrGramRows(xf: Array[Double], xb: Array[Double],
                    sf: Array[Double], sb: Array[Double], sOff: Int, sStride: Int,
@@ -365,18 +359,20 @@ object SvdCcd extends Serializable {
         val f0 = xf(x0 + l); val f1 = xf(x1 + l); val f2 = xf(x2 + l); val f3 = xf(x3 + l)
         val b0 = xb(x0 + l); val b1 = xb(x1 + l); val b2 = xb(x2 + l); val b3 = xb(x3 + l)
         val gfl = gf(l)
-        val gbl = gb(l)
         var c = 0
-        while (c < w) {
-          gfl(c) += f0 * sf0(c) + f1 * sf1(c) + f2 * sf2(c) + f3 * sf3(c)
-          gbl(c) += b0 * sb0(c) + b1 * sb1(c) + b2 * sb2(c) + b3 * sb3(c)
-          c += 1
-        }
+        while (c < w) { gfl(c) += f0 * sf0(c) + f1 * sf1(c) + f2 * sf2(c) + f3 * sf3(c); c += 1 }
+        val gbl = gb(l)
+        c = 0
+        while (c < w) { gbl(c) += b0 * sb0(c) + b1 * sb1(c) + b2 * sb2(c) + b3 * sb3(c); c += 1 }
         val hfOff = hfBase + l * half
-        val hbOff = hbBase + l * half
         var l2 = 0
         while (l2 < half) {
           acc(hfOff + l2) += f0 * xf(x0 + l2) + f1 * xf(x1 + l2) + f2 * xf(x2 + l2) + f3 * xf(x3 + l2)
+          l2 += 1
+        }
+        val hbOff = hbBase + l * half
+        l2 = 0
+        while (l2 < half) {
           acc(hbOff + l2) += b0 * xb(x0 + l2) + b1 * xb(x1 + l2) + b2 * xb(x2 + l2) + b3 * xb(x3 + l2)
           l2 += 1
         }
@@ -394,21 +390,17 @@ object SvdCcd extends Serializable {
         val f0 = xf(x0 + l)
         val b0 = xb(x0 + l)
         val gfl = gf(l)
-        val gbl = gb(l)
         var c = 0
-        while (c < w) {
-          gfl(c) += f0 * sf0(c)
-          gbl(c) += b0 * sb0(c)
-          c += 1
-        }
+        while (c < w) { gfl(c) += f0 * sf0(c); c += 1 }
+        val gbl = gb(l)
+        c = 0
+        while (c < w) { gbl(c) += b0 * sb0(c); c += 1 }
         val hfOff = hfBase + l * half
-        val hbOff = hbBase + l * half
         var l2 = 0
-        while (l2 < half) {
-          acc(hfOff + l2) += f0 * xf(x0 + l2)
-          acc(hbOff + l2) += b0 * xb(x0 + l2)
-          l2 += 1
-        }
+        while (l2 < half) { acc(hfOff + l2) += f0 * xf(x0 + l2); l2 += 1 }
+        val hbOff = hbBase + l * half
+        l2 = 0
+        while (l2 < half) { acc(hbOff + l2) += b0 * xb(x0 + l2); l2 += 1 }
         l += 1
       }
       r += 1

@@ -77,7 +77,7 @@ object SynthGraph {
     val xm = avgOutDeg * (a - 2) / (a - 1) // mean of Pareto(xm, a-1)
     val srcB = mutable.ArrayBuilder.make[Int]
     val dstB = mutable.ArrayBuilder.make[Int]
-    val seen = new java.util.HashSet[Long]()
+    val seen = new LongSet((n * avgOutDeg).toLong * (if (directed) 1 else 2))
     def addEdge(u: Int, v: Int): Unit = {
       if (u != v) {
         val key = u.toLong * n + v
@@ -120,7 +120,9 @@ object SynthGraph {
     val anB = mutable.ArrayBuilder.make[Int]
     val aiB = mutable.ArrayBuilder.make[Int]
     val awB = mutable.ArrayBuilder.make[Double]
-    val seenAttr = new java.util.HashSet[Long]()
+    // A node's attribute picks are deduped within the node: lastPick(attr)
+    // is the last node that picked attr.
+    val lastPick = Array.fill(d)(-1)
     i = 0
     while (i < n) {
       val c = community(i)
@@ -132,8 +134,8 @@ object SynthGraph {
         val attr =
           if (rnd.nextDouble() < attrInProb) math.min(d - 1, base + zipfRank(rnd))
           else rnd.nextInt(d)
-        val key = i.toLong * d + attr
-        if (seenAttr.add(key)) {
+        if (lastPick(attr) != i) {
+          lastPick(attr) = i
           anB += i; aiB += attr; awB += 1.0 + rnd.nextInt(3) // small integer weights
         }
         t += 1
@@ -155,5 +157,48 @@ object SynthGraph {
       src = srcB.result(), dst = dstB.result(),
       attrNode = anB.result(), attrId = aiB.result(), attrW = awB.result(),
       labels = labels, directed = directed, name = name)
+  }
+}
+
+/** A set of non-negative Long keys by open addressing (linear probing,
+  * Fibonacci hashing, load at most 1/2), so adding a key boxes nothing.
+  *
+  * @param expected the number of keys to size the table for; it grows
+  *                 past that as needed
+  */
+private[graph] final class LongSet(expected: Long) {
+  private var bits = math.max(4, 65 - java.lang.Long.numberOfLeadingZeros(math.max(1L, expected)))
+  private var keys = empty(bits)
+  private var size = 0
+
+  private def empty(bits: Int): Array[Long] = {
+    val a = new Array[Long](1 << bits)
+    java.util.Arrays.fill(a, -1L)
+    a
+  }
+
+  /** Adds `key` (>= 0); true if it was not in the set. */
+  def add(key: Long): Boolean = {
+    if (2 * (size + 1) > keys.length) {
+      val old = keys
+      bits += 1
+      keys = empty(bits)
+      size = 0
+      var i = 0
+      while (i < old.length) { if (old(i) >= 0) insert(old(i)); i += 1 }
+    }
+    insert(key)
+  }
+
+  private def insert(key: Long): Boolean = {
+    val mask = keys.length - 1
+    var slot = ((key * 0x9E3779B97F4A7C15L) >>> (64 - bits)).toInt
+    while (keys(slot) >= 0) {
+      if (keys(slot) == key) return false
+      slot = (slot + 1) & mask
+    }
+    keys(slot) = key
+    size += 1
+    true
   }
 }

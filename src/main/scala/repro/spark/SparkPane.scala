@@ -277,18 +277,4 @@ object SparkPane extends Serializable {
     val newDeltaT = SvdCcd.attrReplay(newY, agg, 0, d)
     (state.next, newY, newDeltaT)
   }
-
-  /** Collect distributed affinity blocks back to dense matrices — used by
-    * tests to compare against the single-thread APMI.
-    */
-  def collectAffinity(aff: RDD[(Int, AffBlock)], n: Int, d: Int): (DenseMatrix, DenseMatrix) = {
-    val f = DenseMatrix.zeros(n, d)
-    val b = DenseMatrix.zeros(n, d)
-    aff.collect().foreach { case (bi, a) =>
-      a.requireUnconsumed(bi)
-      System.arraycopy(a.f.data, 0, f.data, a.from * d, a.f.data.length)
-      System.arraycopy(a.b.data, 0, b.data, a.from * d, a.b.data.length)
-    }
-    (f, b)
-  }
 }

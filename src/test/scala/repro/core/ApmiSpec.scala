@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
-import repro.graph.WalkSimulator
+import repro.graph.{AttributedGraph, WalkSimulator}
 import repro.linalg.DenseMatrix
 
 /** APMI is validated against the Monte-Carlo random-walk simulator — the
@@ -13,6 +13,13 @@ class ApmiSpec extends AnyFunSuite {
 
   private val g = Fixtures.figure1
   private val alpha = 0.15
+
+  /** The un-normalized truncated walk distributions P_f^{(t)}, P_b^{(t)}
+    * of Equation (6), for Lemma 3.1's bound tests.
+    */
+  private def truncatedDistributions(g: AttributedGraph, alpha: Double, t: Int): (DenseMatrix, DenseMatrix) =
+    (DenseMatrix.fromRows(Apmi.propagate(g.walkMatrix, g.attrRowNorm, alpha, t, 0, g.d).toSeq),
+      DenseMatrix.fromRows(Apmi.propagate(Apmi.transposeCsr(g.walkMatrix), g.attrColNorm, alpha, t, 0, g.d).toSeq))
 
   test("iterations formula matches the paper's ε↔t table at α=0.5") {
     assert(Apmi.iterations(0.5, 0.001) == 9)
@@ -31,25 +38,25 @@ class ApmiSpec extends AnyFunSuite {
   }
 
   test("truncated forward distribution rows sum to 1 when every node is attributed") {
-    val (pf, _) = Apmi.truncatedDistributions(g, alpha, t = 8)
+    val (pf, _) = truncatedDistributions(g, alpha, t = 8)
     pf.rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
   }
 
   test("truncated backward distribution columns sum to 1") {
-    val (_, pb) = Apmi.truncatedDistributions(g, alpha, t = 8)
+    val (_, pb) = truncatedDistributions(g, alpha, t = 8)
     pb.colSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
   }
 
   test("forward distribution matches Monte-Carlo simulation") {
     val t = 60 // effectively untruncated at alpha=0.15: (0.85)^61 ~ 5e-5
-    val (pf, _) = Apmi.truncatedDistributions(g, alpha, t)
+    val (pf, _) = truncatedDistributions(g, alpha, t)
     val sim = WalkSimulator.forward(g, alpha, samples = 60000, seed = 4L)
     assert((pf - sim).maxAbs < 0.01) // MC noise ~ 1/sqrt(60000)
   }
 
   test("backward distribution matches Monte-Carlo simulation") {
     val t = 60
-    val (_, pb) = Apmi.truncatedDistributions(g, alpha, t)
+    val (_, pb) = truncatedDistributions(g, alpha, t)
     val sim = WalkSimulator.backward(g, alpha, samples = 60000, seed = 5L)
     assert((pb - sim).maxAbs < 0.01)
   }
@@ -57,8 +64,8 @@ class ApmiSpec extends AnyFunSuite {
   test("Lemma 3.1-style truncation bound: 0 <= Pf - Pf^(t) <= (1-α)^t entrywise") {
     val tBig = 80
     val t = 4
-    val (pfInf, pbInf) = Apmi.truncatedDistributions(g, alpha, tBig)
-    val (pfT, pbT) = Apmi.truncatedDistributions(g, alpha, t)
+    val (pfInf, pbInf) = truncatedDistributions(g, alpha, tBig)
+    val (pfT, pbT) = truncatedDistributions(g, alpha, t)
     val bound = math.pow(1 - alpha, t)
     for (i <- 0 until g.n; j <- 0 until g.d) {
       assert(pfInf(i, j) - pfT(i, j) <= bound + 1e-12)
@@ -88,14 +95,14 @@ class ApmiSpec extends AnyFunSuite {
   }
 
   test("normalized P-hat matrices are column-/row-stochastic") {
-    val (hatF, hatB) = (normalized _).tupled(Apmi.truncatedDistributions(g, alpha, t = 6))
+    val (hatF, hatB) = (normalized _).tupled(truncatedDistributions(g, alpha, t = 6))
     hatF.colSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
     hatB.rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
   }
 
   test("F' equals log(n * P-hat + 1) exactly") {
     val res = Apmi.run(g, alpha, t = 6)
-    val (hatF, hatB) = (normalized _).tupled(Apmi.truncatedDistributions(g, alpha, t = 6))
+    val (hatF, hatB) = (normalized _).tupled(truncatedDistributions(g, alpha, t = 6))
     for (i <- 0 until g.n; j <- 0 until g.d) {
       assert(math.abs(res.fPrime(i, j) - math.log(g.n * hatF(i, j) + 1)) < 1e-12)
       assert(math.abs(res.bPrime(i, j) - math.log(g.d * hatB(i, j) + 1)) < 1e-12)

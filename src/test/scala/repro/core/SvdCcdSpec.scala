@@ -50,7 +50,7 @@ class SvdCcdSpec extends AnyFunSuite {
   }
 
   test("residualRows written over F' and B' equals the separate-buffer call bit for bit") {
-    // k/2 = 3 and 5 run rowPatch's remainder loop, k/2 = 8 only its
+    // k/2 = 3 and 5 run the patch's remainder loop, k/2 = 8 only its
     // four-row passes; ranges start at row 0 and inside the matrix.
     for ((half, d, n, from, until) <- Seq((3, 7, 13, 0, 13), (5, 9, 13, 4, 11), (8, 6, 10, 3, 10), (4, 1, 5, 2, 3))) {
       val xf = DenseMatrix.randn(n, half, 11L + half)
@@ -170,10 +170,12 @@ class SvdCcdSpec extends AnyFunSuite {
       val s = ints(sOff + w + 1)
       val naive = s.clone
       for (c <- 0 until w; l <- 0 until half) naive(sOff + c) -= coef(cOff + l) * m(l * w + c)
-      SvdCcd.rowPatch(coef, cOff, half, m, w, s, sOff)
+      rowPatch(coef, cOff, half, m, w, s, sOff)
       assert(java.util.Arrays.equals(s, naive), s"rowPatch half=$half w=$w")
     }
-    for (rows <- 1 to 9; half <- Seq(1, 3, 4); w <- Seq(1, 5)) {
+    // Every rows % 4 remainder; k/2 and w below, at and past one four-row
+    // pass and one vector width; S rows at sOff > 0 with a stride > w.
+    for (rows <- 1 to 9; half <- Seq(1, 3, 4, 32); w <- Seq(1, 5, 8, 37)) {
       val (sOff, stride) = (1, w + 2)
       val (xf, xb) = (ints(rows * half), ints(rows * half))
       val (sf, sb) = (ints(sOff + rows * stride), ints(sOff + rows * stride))
@@ -258,7 +260,7 @@ class SvdCcdSpec extends AnyFunSuite {
       val m = mixed(half * w, rnd)
       val s1 = mixed(sOff + w + 3, rnd)
       val s2 = s1.clone
-      SvdCcd.rowPatch(coef, cOff, half, m, w, s1, sOff)
+      rowPatch(coef, cOff, half, m, w, s1, sOff)
       flatRowPatch(coef, cOff, half, m, w, s2, sOff)
       assert(java.util.Arrays.equals(s1, s2), s"rowPatch $where")
 
@@ -436,6 +438,16 @@ object SvdCcdSpec {
   /** Random entries, about a quarter of them exact zeros. */
   def mixed(len: Int, rnd: scala.util.Random): Array[Double] =
     Array.fill(len)(if (rnd.nextInt(4) == 0) 0.0 else rnd.nextGaussian())
+
+  /** One residual patch on flat arrays: s[sOff + c] −= Σ_l coef[cOff + l]·m[l·w + c]
+    * for c < w and l < half, where m is k/2 × w in l-major order. Splits m
+    * into rows and runs the staged patch on a copy of the row; the sweeps
+    * split their m once per call instead.
+    */
+  def rowPatch(coef: Array[Double], cOff: Int, half: Int,
+               m: Array[Double], w: Int,
+               s: Array[Double], sOff: Int): Unit =
+    SvdCcd.patchAt(coef, cOff, half, SvdCcd.lRows(m, 0, half, w), w, s, sOff, new Array[Double](w))
 
   def flatRowPatch(coef: Array[Double], cOff: Int, half: Int,
                    m: Array[Double], w: Int,

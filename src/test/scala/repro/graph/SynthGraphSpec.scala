@@ -83,6 +83,29 @@ class SynthGraphSpec extends AnyFunSuite {
     assert(g.labels.forall(_.nonEmpty))
   }
 
+  test("LongSet adds each key once, across table growth") {
+    val set = new LongSet(1)
+    val rnd = new scala.util.Random(3L)
+    val keys = Array.fill(5000)(rnd.nextInt(2000).toLong * 1000003L)
+    val oracle = new java.util.HashSet[Long]()
+    for (k <- keys) assert(set.add(k) == oracle.add(k), s"key $k")
+    assert(oracle.size > 1000)
+    for (k <- keys) assert(!set.add(k), s"repeat $k")
+  }
+
+  test("primitive-set dedupe gives the boxed-set generator's graph on citeseer, pubmed and facebook (undirected)") {
+    for (c <- Seq(Datasets.citeseer, Datasets.pubmed, Datasets.facebook)) {
+      val (a, b) = (SynthGraph.generate(c), SynthGraphOracle.generate(c))
+      val where = c.name
+      assert(a.n == b.n && a.d == b.d && a.directed == b.directed && a.name == b.name, where)
+      assert(java.util.Arrays.equals(a.src, b.src) && java.util.Arrays.equals(a.dst, b.dst), s"edges $where")
+      assert(java.util.Arrays.equals(a.attrNode, b.attrNode) && java.util.Arrays.equals(a.attrId, b.attrId) &&
+        java.util.Arrays.equals(a.attrW, b.attrW), s"attributes $where")
+      assert(a.labels.length == b.labels.length &&
+        a.labels.indices.forall(v => java.util.Arrays.equals(a.labels(v), b.labels(v))), s"labels $where")
+    }
+  }
+
   test("Datasets catalog loads and byName resolves") {
     val g = Datasets.load(Datasets.cora)
     assert(g.n == 2708 && g.name == "cora-lite")

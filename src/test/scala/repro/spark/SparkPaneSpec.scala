@@ -6,6 +6,7 @@ import org.apache.spark.sql.SparkSession
 import repro.{Fixtures, SparkSpec}
 import repro.core.{Apmi, Pane, PaneConfig, ParallelPane}
 import repro.eval.Tasks
+import repro.linalg.DenseMatrix
 
 class SparkPaneSpec extends SparkSpec {
 
@@ -35,6 +36,20 @@ class SparkPaneSpec extends SparkSpec {
     seen.toArray.toSeq.map(_.toString).filter(_ != "marker")
   }
 
+  /** The distributed affinity blocks as dense F' and B', for comparison
+    * with the single-thread APMI; fails on a consumed block.
+    */
+  private def collectAffinity(aff: RDD[(Int, SparkPane.AffBlock)], n: Int, d: Int): (DenseMatrix, DenseMatrix) = {
+    val f = DenseMatrix.zeros(n, d)
+    val b = DenseMatrix.zeros(n, d)
+    aff.collect().foreach { case (bi, a) =>
+      a.requireUnconsumed(bi)
+      System.arraycopy(a.f.data, 0, f.data, a.from * d, a.f.data.length)
+      System.arraycopy(a.b.data, 0, b.data, a.from * d, a.b.data.length)
+    }
+    (f, b)
+  }
+
   /** (partition index, block ids it holds), in partition order. */
   private def placement[A](rdd: RDD[(Int, A)]): Seq[(Int, List[Int])] =
     rdd.mapPartitionsWithIndex((p, it) => Iterator((p, it.map(_._1).toList))).collect().toSeq.sortBy(_._1)
@@ -42,7 +57,7 @@ class SparkPaneSpec extends SparkSpec {
   test("distributed PAPMI equals single-thread APMI (Lemma 4.1 on partitions)") {
     val single = Apmi.run(g, alpha, t)
     val aff = SparkPane.papmi(g, alpha, t, nb = 4, spark)
-    val (f, b) = SparkPane.collectAffinity(aff, g.n, g.d)
+    val (f, b) = collectAffinity(aff, g.n, g.d)
     // Same propagate and SPMI kernels on the same column ranges: bit-equal.
     assert((f - single.fPrime).maxAbs == 0.0)
     assert((b - single.bPrime).maxAbs == 0.0)
@@ -108,7 +123,7 @@ class SparkPaneSpec extends SparkSpec {
     val (state, _) = SparkPane.smGreedyInit(aff, k, 2, 42L)
     val msg = failureMessages(SparkPane.smGreedyInit(aff, k, 2, 42L))
     assert("PAPMI block [01] was consumed by an earlier SMGreedyInit".r.findFirstIn(msg).nonEmpty, msg)
-    val msg2 = failureMessages(SparkPane.collectAffinity(aff, g.n, g.d))
+    val msg2 = failureMessages(collectAffinity(aff, g.n, g.d))
     assert("PAPMI block [01] was consumed".r.findFirstIn(msg2).nonEmpty, msg2)
     state.unpersist()
     aff.unpersist()
