@@ -14,11 +14,12 @@ import repro.linalg.{DenseMatrix, SparseMatrix}
   *    (Lemma 4.1 — tested).
   *  - SMGreedyInit (Alg 7): per *node-row* block RandSVD of F'[Vi], merge
   *    of the stacked right factors, second RandSVD, then per-block
-  *    initialization of Xf, Xb, Sf, Sb.
+  *    initialization of Xf, Xb.
   *  - PSVDCCD (Alg 8): CCD sweeps run per node block (X phase) and per
   *    attribute block (Y phase). Both phases are exactly parallel: row
-  *    updates touch disjoint rows of Xf/Xb/Sf/Sb, and with Xf, Xb fixed a
-  *    Y[rj,·] update only touches column rj of Sf/Sb.
+  *    updates touch disjoint rows of Xf/Xb, and with Xf, Xb fixed a
+  *    Y[rj,·] update reads only X, F', B' and Y[rj,·]. Hf = XfᵀXf and
+  *    Hb = XbᵀXb are formed once per sweep, split by their rows.
   */
 object ParallelPane {
 
@@ -98,7 +99,6 @@ object ParallelPane {
     require(k >= 2 && k % 2 == 0, s"space budget k must be even and >= 2, got $k")
     val half = k / 2
     val n = f.rows
-    val d = f.cols
     val nodeBlocks = ranges(n, run.nb)
     val us = new Array[DenseMatrix](nodeBlocks.length)
     val vts = new Array[DenseMatrix](nodeBlocks.length)
@@ -110,10 +110,9 @@ object ParallelPane {
       }
     })
     val (w, y) = mergeSvd(vts.toSeq, half, svdIters, seed)
-    val st = SvdCcd.State(DenseMatrix.zeros(n, half), DenseMatrix.zeros(n, half), y,
-      DenseMatrix.zeros(n, d), DenseMatrix.zeros(n, d))
+    val st = SvdCcd.State(DenseMatrix.zeros(n, half), DenseMatrix.zeros(n, half), y, f, b)
     run.runAll(nodeBlocks.zipWithIndex.map { case ((from, until), bi) =>
-      () => initBlock(st, f, b, from, until, us(bi), w, bi)
+      () => initBlock(st, from, until, us(bi), w, bi)
     })
     st
   }
@@ -137,37 +136,45 @@ object ParallelPane {
     SvdCcd.scaledSvd(DenseMatrix.vstack(vts), half, svdIters, seed + 9999)
 
   /** SMGreedyInit's per-block init (Alg 7 Lines 7–11) of node block `bi`,
-    * rows [from, until) of `f`, `b` and `st`: Xf = Ui·W[bi], Xb = B'[Vi]·Y
-    * with Y = st.y, then the rows' residuals Sf, Sb. The pool passes the
-    * full matrices and a block's range (B'[Vi] is copied out); Spark passes
-    * one block's matrices and all of their rows (B' is multiplied as is).
+    * rows [from, until) of `st`: Xf = Ui·W[bi], Xb = B'[Vi]·Y with
+    * B' = st.b and Y = st.y. The pool passes the full state and a block's
+    * range (B'[Vi] is copied out); Spark passes one block's state and all of
+    * its rows (B' is multiplied as is).
     */
-  def initBlock(st: SvdCcd.State, f: DenseMatrix, b: DenseMatrix, from: Int, until: Int,
+  def initBlock(st: SvdCcd.State, from: Int, until: Int,
                 ui: DenseMatrix, w: DenseMatrix, bi: Int): Unit = {
     val half = st.y.cols
+    val b = st.b
     val xfB = ui * w.rowSlice(bi * half, (bi + 1) * half)
     val xbB = (if (from == 0 && until == b.rows) b else b.rowSlice(from, until)) * st.y
     System.arraycopy(xfB.data, 0, st.xf.data, from * half, xfB.data.length)
     System.arraycopy(xbB.data, 0, st.xb.data, from * half, xbB.data.length)
-    SvdCcd.residualRows(st, f, b, from, until)
   }
 
   /** Algorithm 8 — PSVDCCD: `iters` CCD sweeps on the initialized state
     * `st`, in place, each an X-phase over the node blocks of
-    * `ranges(n, nb)` then a Y-phase over the attribute blocks of
-    * `ranges(d, nb)`. Every nb gives the same result bit for bit; nb = 1 is
-    * Algorithm 4's sequential loop.
+    * `ranges(n, nb)` then a Y-phase: Hf and Hb once, over the row blocks
+    * `ranges(k/2, nb)` of H ([[SvdCcd.gramRows]]), then the attribute
+    * blocks of `ranges(d, nb)`, which share them. Every nb gives the same
+    * result bit for bit; nb = 1 is Algorithm 4's sequential loop.
     */
   def psvdccd(st: SvdCcd.State, iters: Int, nb: Int): Embeddings =
     withRunner(nb)(psvdccd(st, iters, _))
 
   private def psvdccd(st: SvdCcd.State, iters: Int, run: Runner): Embeddings = {
-    val nodeBlocks = ranges(st.xf.rows, run.nb)
+    val n = st.xf.rows
+    val half = st.y.cols
+    val nodeBlocks = ranges(n, run.nb)
+    val gramBlocks = ranges(half, run.nb)
     val attrBlocks = ranges(st.y.rows, run.nb)
     var it = 0
     while (it < iters) {
       run.runAll(nodeBlocks.map { case (from, until) => () => SvdCcd.nodeSweep(st, from, until) })
-      run.runAll(attrBlocks.map { case (from, until) => () => SvdCcd.attrSweep(st, from, until) })
+      val gram = new Array[Double](2 * half * half)
+      run.runAll(gramBlocks.map { case (lFrom, lUntil) =>
+        () => SvdCcd.gramRows(st.xf.data, st.xb.data, n, half, lFrom, lUntil, gram, 0)
+      })
+      run.runAll(attrBlocks.map { case (from, until) => () => SvdCcd.attrSweep(st, from, until, gram) })
       it += 1
     }
     Embeddings(st.xf, st.xb, st.y)

@@ -146,27 +146,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
     math.sqrt(s)
   }
 
-  /** Largest absolute entry — handy in approximation tests. */
-  def maxAbs: Double = {
-    var m = 0.0
-    var i = 0
-    while (i < data.length) { val a = math.abs(data(i)); if (a > m) m = a; i += 1 }
-    m
-  }
-
-  /** Column sums, length `cols`. */
-  def colSums: Array[Double] = {
-    val s = new Array[Double](cols)
-    var i = 0
-    while (i < rows) {
-      val off = i * cols
-      var j = 0
-      while (j < cols) { s(j) += data(off + j); j += 1 }
-      i += 1
-    }
-    s
-  }
-
   /** Row sums, length `rows`. */
   def rowSums: Array[Double] = {
     val s = new Array[Double](rows)

@@ -28,24 +28,22 @@ import repro.linalg.DenseMatrix
   *    [[Apmi.run]], so F' and B' equal the single-thread APMI bit for bit.
   *  - **SMGreedyInit** (Alg 7): [[ParallelPane.splitSvd]] on each block's
   *    F'[Vi], [[ParallelPane.mergeSvd]] on the driver, and
-  *    [[ParallelPane.initBlock]] per block, as in the pool. The init
-  *    consumes the [[AffBlock]]s: Sf and Sb are written over the block's own
-  *    F' and B' (Xb = B'·Y is taken first).
+  *    [[ParallelPane.initBlock]] per block, as in the pool. Each
+  *    [[CcdBlock]] keeps its [[AffBlock]]'s F' and B' as they are.
   *  - **PSVDCCD** (Alg 8): one job per sweep over the one cached copy of the
-  *    CCD blocks. Each block is patched in place for the previous sweep's
-  *    ΔYᵀ ([[SvdCcd.patchRows]]), swept by [[SvdCcd.nodeSweep]] and reduced to
-  *    its Y-phase accumulator Gf = XfᵀSf, Gb = XbᵀSb, Hf = XfᵀXf,
-  *    Hb = XbᵀXb ([[SvdCcd.attrGramRows]]). The driver sums the
-  *    accumulators in block order and replays the coordinate updates
-  *    ([[SvdCcd.attrReplay]], DESIGN.md §2); the ΔYᵀ it returns is the
-  *    patch of the next sweep.
+  *    CCD blocks. Each block is swept by [[SvdCcd.nodeSweep]] in place and
+  *    reduced to its Y-phase accumulator XfᵀF', XbᵀB'
+  *    ([[SvdCcd.attrGramRows]]), Hf = XfᵀXf, Hb = XbᵀXb
+  *    ([[SvdCcd.gramRows]]). The driver sums the accumulators in block
+  *    order, forms G = H·Yᵀ − XᵀF' and replays the coordinate updates
+  *    ([[SvdCcd.attrUpdate]], DESIGN.md §2).
   *
-  * So every stage holds one copy of the n·d state: F' and B', then Sf and
-  * Sb in the same arrays. In-place steps are guarded instead of copied: a
-  * consumed [[AffBlock]] and a [[CcdBlock]] that is not at rest after the
-  * sweeps the driver expects (a retried task, a block recomputed from
-  * lineage) fail with an `IllegalStateException` naming the block and the
-  * sweep, never run a step twice.
+  * So every stage holds one copy of the n·d state, F' and B', which the
+  * sweeps only read; per block, X is k/2 columns wide and the accumulator
+  * O(k·d). X is updated in place, so a [[CcdBlock]] that is not at rest
+  * after the sweeps the driver expects (a retried task, a block recomputed
+  * from lineage) fails with an `IllegalStateException` naming the block and
+  * the sweep, never runs a step twice.
   *
   * Each stage runs under a job description (`papmi`, `sm-greedy-init`,
   * `ccd sweep i`), cleared when `embed` returns.
@@ -58,26 +56,17 @@ import repro.linalg.DenseMatrix
 object SparkPane extends Serializable {
 
   /** Node block i of `ranges(n, nb)`: its first node and its rows of F'
-    * and B'. SMGreedyInit takes over `f` and `b` for the residuals and marks
-    * the block consumed.
+    * and B'.
     */
-  final case class AffBlock(from: Int, f: DenseMatrix, b: DenseMatrix) {
-    private var consumed = false
+  final case class AffBlock(from: Int, f: DenseMatrix, b: DenseMatrix)
 
-    private[spark] def requireUnconsumed(bi: Int): Unit =
-      if (consumed) throw new IllegalStateException(
-        s"PAPMI block $bi was consumed by an earlier SMGreedyInit: its F' and B' storage holds residuals")
-
-    private[spark] def consume(bi: Int): Unit = { requireUnconsumed(bi); consumed = true }
-  }
-
-  /** CCD state of one node block, its rows of Xf, Xb, Sf and Sb (Sf, Sb in
-    * the storage of its [[AffBlock]]), swept in place. `sweeps` counts the
+  /** CCD state of one node block: its rows of Xf and Xb, swept in place,
+    * and of F' and B' (its [[AffBlock]]'s), read only. `sweeps` counts the
     * completed sweeps; `busy` marks one under way, so a task that failed
     * part-way leaves the block unusable.
     */
   private[spark] final class CcdBlock(val xf: DenseMatrix, val xb: DenseMatrix,
-                                      val sf: DenseMatrix, val sb: DenseMatrix) extends Serializable {
+                                      val f: DenseMatrix, val b: DenseMatrix) extends Serializable {
     private var sweeps = 0
     private var busy = false
 
@@ -91,7 +80,7 @@ object SparkPane extends Serializable {
     def sweep(bi: Int, it: Int, y: DenseMatrix)(step: SvdCcd.State => Unit): Unit = {
       requireAt(bi, it)
       busy = true
-      step(SvdCcd.State(xf, xb, y, sf, sb))
+      step(SvdCcd.State(xf, xb, y, f, b))
       sweeps += 1
       busy = false
     }
@@ -182,14 +171,12 @@ object SparkPane extends Serializable {
     } finally aff.unpersist()
 
     val xs = try {
-      var deltaT = Array.emptyDoubleArray
       var it = 0
       while (it < cfg.refineIters) {
         sc.setJobDescription(s"ccd sweep $it")
-        val (next, nextY, nextDeltaT) = sweep(state, y, deltaT)
+        val (next, nextY) = sweep(state, y)
         state = next
         y = nextY
-        deltaT = nextDeltaT
         it += 1
       }
       val sweeps = state.sweeps
@@ -207,16 +194,14 @@ object SparkPane extends Serializable {
 
   /** SMGreedyInit (Alg 7) on the blocks of `aff`: the per-block split SVDs
     * in one job, the merge on the driver, then the per-block init in a
-    * second job, which consumes `aff`'s blocks (their F' and B' storage
-    * becomes Sf and Sb). Returns the materialized CCD blocks (block i in
-    * partition i, before sweep 0) and Y.
+    * second job, whose CCD blocks share `aff`'s F' and B'. Returns the
+    * materialized CCD blocks (block i in partition i, before sweep 0) and Y.
     */
   private[spark] def smGreedyInit(aff: RDD[(Int, AffBlock)], k: Int, svdIters: Int,
                                   seed: Long): (CcdBlocks, DenseMatrix) = {
     val sc = aff.sparkContext
     val half = k / 2
     val split = aff.mapPartitions(_.map { case (bi, a) =>
-      a.requireUnconsumed(bi)
       (bi, (a, ParallelPane.splitSvd(a.f, bi, half, svdIters, seed)))
     }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK)
     try {
@@ -225,13 +210,10 @@ object SparkPane extends Serializable {
       val bcW = sc.broadcast(w)
       val bcY = sc.broadcast(y)
       val blocks = new CcdBlocks(split.mapPartitions(_.map { case (bi, (a, (ui, _))) =>
-        a.consume(bi)
         val rows = a.f.rows
-        // Sf = Xf·Yᵀ − F' over F' row by row (each entry read before it is
-        // written), the same for Sb over B'.
         val st = SvdCcd.State(DenseMatrix.zeros(rows, half), DenseMatrix.zeros(rows, half), bcY.value, a.f, a.b)
-        ParallelPane.initBlock(st, a.f, a.b, 0, rows, ui, bcW.value, bi)
-        (bi, new CcdBlock(st.xf, st.xb, st.sf, st.sb))
+        ParallelPane.initBlock(st, 0, rows, ui, bcW.value, bi)
+        (bi, new CcdBlock(st.xf, st.xb, a.f, a.b))
       }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK), 0)
       // Materialize before unpersisting the parent.
       try blocks.count() catch { case e: Throwable => blocks.unpersist(); throw e }
@@ -239,29 +221,25 @@ object SparkPane extends Serializable {
     } finally split.unpersist()
   }
 
-  /** One PSVDCCD sweep (Alg 8) in one job: per block, in place, apply the
-    * previous sweep's patch S −= X·ΔYᵀ (none when `deltaT` is empty), run the
+  /** One PSVDCCD sweep (Alg 8) in one job: per block, in place, run the
     * X-phase and fill the Y-phase accumulator; then, on the driver, sum the
     * accumulators in block-id order and replay the Y-phase. Returns the
     * blocks' view after this sweep (`state` no longer matches them: a
-    * second sweep on it fails), the new Y and the ΔYᵀ the next sweep
-    * applies.
+    * second sweep on it fails) and the new Y.
     */
-  private[spark] def sweep(state: CcdBlocks, y: DenseMatrix,
-                           deltaT: Array[Double]): (CcdBlocks, DenseMatrix, Array[Double]) = {
+  private[spark] def sweep(state: CcdBlocks, y: DenseMatrix): (CcdBlocks, DenseMatrix) = {
     val sc = state.sparkContext
     val half = y.cols
     val d = y.rows
     val bcY = sc.broadcast(y)
-    val bcDeltaT = sc.broadcast(deltaT)
     val it = state.sweeps
     val accs = state.map { case (bi, blk) =>
       val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
       blk.sweep(bi, it, bcY.value) { st =>
         val rows = st.xf.rows
-        if (bcDeltaT.value.nonEmpty) SvdCcd.patchRows(st, bcDeltaT.value, 0, d)
         SvdCcd.nodeSweep(st, 0, rows)
-        SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, 0, d, rows, half, d, acc)
+        SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, 0, d, rows, half, d, acc)
+        SvdCcd.gramRows(st.xf.data, st.xb.data, rows, half, 0, half, acc, 2 * half * d)
       }
       (bi, acc)
     }.collect().sortBy(_._1).map(_._2)
@@ -274,7 +252,7 @@ object SparkPane extends Serializable {
       while (i < agg.length) { agg(i) += a(i); i += 1 }
     }
     val newY = y.copy
-    val newDeltaT = SvdCcd.attrReplay(newY, agg, 0, d)
-    (state.next, newY, newDeltaT)
+    SvdCcd.attrUpdate(newY, agg, 0, d)
+    (state.next, newY)
   }
 }

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.graph.{AttributedGraph, WalkSimulator}
 import repro.linalg.DenseMatrix
+import repro.linalg.DenseMatrixOps._
 
 /** APMI is validated against the Monte-Carlo random-walk simulator — the
   * definitional ground truth of Section 2.2 — plus the paper's structural

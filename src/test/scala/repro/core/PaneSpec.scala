@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.eval.{Metrics, Tasks}
+import repro.linalg.DenseMatrixOps._
 
 class PaneSpec extends AnyFunSuite {
 

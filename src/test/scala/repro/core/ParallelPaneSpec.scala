@@ -3,6 +3,7 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.linalg.DenseMatrix
+import repro.linalg.DenseMatrixOps._
 
 class ParallelPaneSpec extends AnyFunSuite {
 
@@ -63,10 +64,10 @@ class ParallelPaneSpec extends AnyFunSuite {
       assert(java.util.Arrays.equals(y.data, pool.y.data), s"Y at nb = $nb")
       for (((from, until), bi) <- blocks.zipWithIndex) {
         val rows = until - from
-        // The block's own F' and B', overwritten by Sf and Sb as on Spark.
+        // The block's own F' and B', as on Spark.
         val (fb, bb) = (f.rowSlice(from, until), b.rowSlice(from, until))
         val own = SvdCcd.State(DenseMatrix.zeros(rows, half), DenseMatrix.zeros(rows, half), y, fb, bb)
-        ParallelPane.initBlock(own, fb, bb, 0, rows, split(bi)._1, w, bi)
+        ParallelPane.initBlock(own, 0, rows, split(bi)._1, w, bi)
         val where = s"block $bi of nb = $nb"
         for ((name, a, full) <- Seq(("Xf", own.xf, pool.xf), ("Xb", own.xb, pool.xb), ("Sf", own.sf, pool.sf), ("Sb", own.sb, pool.sb)))
           assert(java.util.Arrays.equals(a.data, full.rowSlice(from, until).data), s"$name, $where")
@@ -98,7 +99,7 @@ class ParallelPaneSpec extends AnyFunSuite {
   test("multi-thread PSVDCCD with shared init equals sequential exactly (phase independence)") {
     val aff = Apmi.run(g, alpha, t)
     val init1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    val init2 = SvdCcd.State(init1.xf.copy, init1.xb.copy, init1.y.copy, init1.sf.copy, init1.sb.copy)
+    val init2 = SvdCcd.State(init1.xf.copy, init1.xb.copy, init1.y.copy, init1.f, init1.b)
     val single = ParallelPane.psvdccd(init1, iters = 2, nb = 1)
     val parallel = ParallelPane.psvdccd(init2, iters = 2, nb = 4)
     // X phase updates disjoint rows, Y phase disjoint columns → identical
@@ -108,17 +109,22 @@ class ParallelPaneSpec extends AnyFunSuite {
     assert((single.y - parallel.y).maxAbs == 0.0)
   }
 
-  test("maintained residuals stay exact over 6 sweeps, single and pool: ‖S − (X·Yᵀ − F')‖max ≤ 1e-12·max|F'|") {
+  test("single and pool sweeps match the residual-maintaining oracle over 6 sweeps on mid") {
     val aff = Apmi.run(g, alpha, t)
-    val single = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 6)
-    ParallelPane.psvdccd(single, iters = 6, nb = 1)
-    val pool = ParallelPane.smGreedyInit(aff.fPrime, aff.bPrime, k, svdIters = 6, nb = 4)
-    ParallelPane.psvdccd(pool, iters = 6, nb = 4)
-    for ((name, st) <- Seq("single" -> single, "pool" -> pool)) {
-      val driftF = (st.sf - (st.xf.mulT(st.y) - aff.fPrime)).maxAbs
-      val driftB = (st.sb - (st.xb.mulT(st.y) - aff.bPrime)).maxAbs
-      assert(driftF <= 1e-12 * aff.fPrime.maxAbs, s"$name Sf drift $driftF")
-      assert(driftB <= 1e-12 * aff.bPrime.maxAbs, s"$name Sb drift $driftB")
+    val (f, b) = (aff.fPrime, aff.bPrime)
+    val single = SvdCcd.greedyInit(f, b, k, svdIters = 6)
+    val pool = ParallelPane.smGreedyInit(f, b, k, svdIters = 6, nb = 4)
+    for ((name, st, nb) <- Seq(("single", single, 1), ("pool", pool, 4))) {
+      val oracle = new SvdCcdSpec.ResidualSweep(st)
+      ParallelPane.psvdccd(st, iters = 6, nb = nb)
+      for (_ <- 1 to 6) { oracle.nodePhase(); oracle.attrPhase() }
+      for ((m, o, label) <- Seq((st.xf, oracle.xf, "Xf"), (st.xb, oracle.xb, "Xb"), (st.y, oracle.y, "Y"))) {
+        val diff = (m - o).maxAbs
+        assert(diff <= 1e-12 * o.maxAbs, s"$name $label differs by $diff (max-abs ${o.maxAbs})")
+      }
+      val obj = SvdCcd.objective(f, b, Embeddings(st.xf, st.xb, st.y))
+      val objOracle = SvdCcd.objective(f, b, Embeddings(oracle.xf, oracle.xb, oracle.y))
+      assert(math.abs(obj - objOracle) <= 1e-12 * objOracle, s"$name objective $obj vs oracle $objOracle")
     }
   }
 

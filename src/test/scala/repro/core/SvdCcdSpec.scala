@@ -2,7 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
+import repro.graph.Datasets
 import repro.linalg.DenseMatrix
+import repro.linalg.DenseMatrixOps._
 import SvdCcdSpec._
 
 class SvdCcdSpec extends AnyFunSuite {
@@ -49,41 +51,19 @@ class SvdCcdSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](SvdCcd.randomInit(aff.fPrime, aff.bPrime, 0))
   }
 
-  test("residualRows written over F' and B' equals the separate-buffer call bit for bit") {
-    // k/2 = 3 and 5 run the patch's remainder loop, k/2 = 8 only its
-    // four-row passes; ranges start at row 0 and inside the matrix.
-    for ((half, d, n, from, until) <- Seq((3, 7, 13, 0, 13), (5, 9, 13, 4, 11), (8, 6, 10, 3, 10), (4, 1, 5, 2, 3))) {
-      val xf = DenseMatrix.randn(n, half, 11L + half)
-      val xb = DenseMatrix.randn(n, half, 12L + half)
-      val y = DenseMatrix.randn(d, half, 13L + half)
-      val f = DenseMatrix.randn(n, d, 14L + half)
-      val b = DenseMatrix.randn(n, d, 15L + half)
-      f.data(0) = 0.0
-      b.data(b.data.length - 1) = 0.0
-      // Separate buffers, pre-filled with F' and B' so rows outside the
-      // range compare too.
-      val sep = SvdCcd.State(xf, xb, y, f.copy, b.copy)
-      SvdCcd.residualRows(sep, f, b, from, until)
-      val fa = f.copy
-      val ba = b.copy
-      val alias = SvdCcd.State(xf, xb, y, fa, ba)
-      assert((alias.sf eq fa) && (alias.sb eq ba))
-      SvdCcd.residualRows(alias, fa, ba, from, until)
-      val where = s"k/2 = $half, d = $d, rows [$from, $until) of $n"
-      assert(java.util.Arrays.equals(fa.data, sep.sf.data), where)
-      assert(java.util.Arrays.equals(ba.data, sep.sb.data), where)
-      assert(!java.util.Arrays.equals(fa.data, f.data), where)
-    }
-  }
-
   test("CCD sweeps keep residuals consistent with embeddings") {
+    // The state holds F' and B' themselves; the sweeps only read them, and
+    // st.sf, st.sb are X·Yᵀ − F', X·Yᵀ − B' of the current X and Y.
+    val (f0, b0) = (aff.fPrime.copy, aff.bPrime.copy)
     val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    SvdCcd.nodeSweep(st, 0, aff.fPrime.rows)
-    SvdCcd.attrSweep(st, 0, aff.fPrime.cols)
-    val sfExpected = st.xf.mulT(st.y) - aff.fPrime
-    val sbExpected = st.xb.mulT(st.y) - aff.bPrime
-    assert((st.sf - sfExpected).maxAbs < 1e-8)
-    assert((st.sb - sbExpected).maxAbs < 1e-8)
+    assert((st.f eq aff.fPrime) && (st.b eq aff.bPrime))
+    for (_ <- 1 to 2) {
+      SvdCcd.nodeSweep(st, 0, aff.fPrime.rows)
+      SvdCcd.attrSweep(st, 0, aff.fPrime.cols)
+    }
+    assert(java.util.Arrays.equals(st.f.data, f0.data) && java.util.Arrays.equals(st.b.data, b0.data))
+    assert(java.util.Arrays.equals(st.sf.data, (st.xf.mulT(st.y) - f0).data))
+    assert(java.util.Arrays.equals(st.sb.data, (st.xb.mulT(st.y) - b0).data))
   }
 
   test("each CCD sweep decreases (never increases) the objective") {
@@ -100,13 +80,26 @@ class SvdCcdSpec extends AnyFunSuite {
     }
   }
 
+  test("the objective never rises from one sweep to the next on mid, single and pool") {
+    val affMid = Apmi.run(Fixtures.mid, alpha = 0.5, t = 5)
+    val (f, b) = (affMid.fPrime, affMid.bPrime)
+    for ((name, st, nb) <- Seq(("single", SvdCcd.greedyInit(f, b, 16, svdIters = 5), 1),
+                               ("pool", ParallelPane.smGreedyInit(f, b, 16, svdIters = 5, nb = 4), 4))) {
+      var prev = SvdCcd.objective(f, b, Embeddings(st.xf, st.xb, st.y))
+      for (it <- 0 until 6) {
+        ParallelPane.psvdccd(st, iters = 1, nb = nb)
+        val o = SvdCcd.objective(f, b, Embeddings(st.xf, st.xb, st.y))
+        assert(o <= prev * (1 + 1e-12), s"$name: objective rose at sweep $it: $prev -> $o")
+        prev = o
+      }
+    }
+  }
+
   test("a single coordinate step is the exact 1-D minimizer (spot check)") {
     val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 2)
     // Perturb one entry, run the sweep for just that node, and verify the
     // objective cannot be improved by any further move of that coordinate.
     st.xf(0, 0) += 0.5
-    // fix residual row for the perturbation
-    for (j <- 0 until aff.fPrime.cols) st.sf(0, j) += 0.5 * st.y(j, 0)
     val before = objectiveOf(st)
     SvdCcd.nodeSweep(st, 0, 1)
     val after = objectiveOf(st)
@@ -114,55 +107,50 @@ class SvdCcdSpec extends AnyFunSuite {
     // directional check: tiny moves in xf(0,0) cannot improve
     val base = after
     for (delta <- Seq(1e-3, -1e-3)) {
-      val st2 = SvdCcd.State(st.xf.copy, st.xb.copy, st.y.copy, st.sf.copy, st.sb.copy)
+      val st2 = SvdCcd.State(st.xf.copy, st.xb.copy, st.y.copy, st.f, st.b)
       st2.xf(0, 0) += delta
-      for (j <- 0 until aff.fPrime.cols) st2.sf(0, j) += delta * st2.y(j, 0)
       assert(objectiveOf(st2) >= base - 1e-10)
     }
   }
 
   test("RowKernels.nodeRow on standalone rows is bit-identical to nodeSweep") {
     val st1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.f, st1.b)
     SvdCcd.nodeSweep(st1, 0, aff.fPrime.rows)
     val kern = new SvdCcd.RowKernels(st2.y) // once per partition, as on Spark
     for (i <- 0 until aff.fPrime.rows) {
       val xf = st2.xf.row(i); val xb = st2.xb.row(i)
-      val sf = st2.sf.row(i); val sb = st2.sb.row(i)
-      kern.nodeRow(xf, xb, 0, sf, sb, 0)
+      kern.nodeRow(xf, xb, 0, st2.f.row(i), st2.b.row(i), 0)
       System.arraycopy(xf, 0, st2.xf.data, i * xf.length, xf.length)
       System.arraycopy(xb, 0, st2.xb.data, i * xb.length, xb.length)
-      System.arraycopy(sf, 0, st2.sf.data, i * sf.length, sf.length)
-      System.arraycopy(sb, 0, st2.sb.data, i * sb.length, sb.length)
     }
     assert((st1.xf - st2.xf).maxAbs == 0.0)
     assert((st1.xb - st2.xb).maxAbs == 0.0)
-    assert((st1.sf - st2.sf).maxAbs == 0.0)
-    assert((st1.sb - st2.sb).maxAbs == 0.0)
   }
 
   test("Gramian-replay nodeSweep matches the column-strided X-phase over 6 sweeps on mid") {
     val affMid = Apmi.run(Fixtures.mid, alpha = 0.5, t = 5)
     val (n, d) = (affMid.fPrime.rows, affMid.fPrime.cols)
     val st1 = SvdCcd.greedyInit(affMid.fPrime, affMid.bPrime, 16, svdIters = 3)
-    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+    val oracle = new ResidualSweep(st1)
     for (_ <- 1 to 6) {
       SvdCcd.nodeSweep(st1, 0, n)
       SvdCcd.attrSweep(st1, 0, d)
-      columnStridedNodeSweep(st2)
-      SvdCcd.attrSweep(st2, 0, d)
+      columnStridedNodeSweep(oracle)
+      oracle.attrPhase()
     }
-    def rel(a: DenseMatrix, oracle: DenseMatrix): Double = (a - oracle).maxAbs / oracle.maxAbs
-    assert(rel(st1.xf, st2.xf) <= 1e-13, s"Xf rel diff ${rel(st1.xf, st2.xf)}")
-    assert(rel(st1.xb, st2.xb) <= 1e-13, s"Xb rel diff ${rel(st1.xb, st2.xb)}")
-    assert(rel(st1.y, st2.y) <= 1e-13, s"Y rel diff ${rel(st1.y, st2.y)}")
-    assert(rel(st1.sf, st2.sf) <= 1e-13, s"Sf rel diff ${rel(st1.sf, st2.sf)}")
-    assert(rel(st1.sb, st2.sb) <= 1e-13, s"Sb rel diff ${rel(st1.sb, st2.sb)}")
+    def rel(a: DenseMatrix, o: DenseMatrix): Double = (a - o).maxAbs / o.maxAbs
+    assert(rel(st1.xf, oracle.xf) <= 1e-13, s"Xf rel diff ${rel(st1.xf, oracle.xf)}")
+    assert(rel(st1.xb, oracle.xb) <= 1e-13, s"Xb rel diff ${rel(st1.xb, oracle.xb)}")
+    assert(rel(st1.y, oracle.y) <= 1e-13, s"Y rel diff ${rel(st1.y, oracle.y)}")
+    assert(rel(st1.sf, oracle.sf) <= 1e-13, s"Sf rel diff ${rel(st1.sf, oracle.sf)}")
+    assert(rel(st1.sb, oracle.sb) <= 1e-13, s"Sb rel diff ${rel(st1.sb, oracle.sb)}")
   }
 
   test("rowPatch and attrGramRows equal the naive double loops (exact on integer data)") {
     val rnd = new scala.util.Random(5L)
     def ints(len: Int): Array[Double] = Array.fill(len)((rnd.nextInt(17) - 8).toDouble)
+    // The residual oracle's patch.
     for (half <- 1 to 9; w <- Seq(1, 4, 7)) {
       val (cOff, sOff) = (3, 2)
       val coef = ints(cOff + half)
@@ -170,23 +158,24 @@ class SvdCcdSpec extends AnyFunSuite {
       val s = ints(sOff + w + 1)
       val naive = s.clone
       for (c <- 0 until w; l <- 0 until half) naive(sOff + c) -= coef(cOff + l) * m(l * w + c)
-      rowPatch(coef, cOff, half, m, w, s, sOff)
+      flatRowPatch(coef, cOff, half, m, w, s, sOff)
       assert(java.util.Arrays.equals(s, naive), s"rowPatch half=$half w=$w")
     }
     // Every rows % 4 remainder; k/2 and w below, at and past one four-row
-    // pass and one vector width; S rows at sOff > 0 with a stride > w.
+    // pass and one vector width; F' rows at fOff > 0 with a stride > w.
     for (rows <- 1 to 9; half <- Seq(1, 3, 4, 32); w <- Seq(1, 5, 8, 37)) {
-      val (sOff, stride) = (1, w + 2)
+      val (fOff, stride) = (1, w + 2)
       val (xf, xb) = (ints(rows * half), ints(rows * half))
-      val (sf, sb) = (ints(sOff + rows * stride), ints(sOff + rows * stride))
+      val (f, b) = (ints(fOff + rows * stride), ints(fOff + rows * stride))
       val acc = new Array[Double](SvdCcd.attrGramSize(half, w))
-      SvdCcd.attrGramRows(xf, xb, sf, sb, sOff, stride, rows, half, w, acc)
+      SvdCcd.attrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, acc)
+      SvdCcd.gramRows(xf, xb, rows, half, 0, half, acc, 2 * half * w)
       val naive = new Array[Double](acc.length)
       val (gSize, hSize) = (half * w, half * half)
       for (r <- 0 until rows; l <- 0 until half) {
         for (c <- 0 until w) {
-          naive(l * w + c) += xf(r * half + l) * sf(sOff + r * stride + c)
-          naive(gSize + l * w + c) += xb(r * half + l) * sb(sOff + r * stride + c)
+          naive(l * w + c) += xf(r * half + l) * f(fOff + r * stride + c)
+          naive(gSize + l * w + c) += xb(r * half + l) * b(fOff + r * stride + c)
         }
         for (l2 <- 0 until half) {
           naive(2 * gSize + l * half + l2) += xf(r * half + l) * xf(r * half + l2)
@@ -199,7 +188,7 @@ class SvdCcdSpec extends AnyFunSuite {
 
   test("attrSweep on disjoint column blocks equals one full sweep (PSVDCCD exactness)") {
     val st1 = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 3)
-    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.f, st1.b)
     SvdCcd.attrSweep(st1, 0, aff.fPrime.cols)
     val mid = aff.fPrime.cols / 2
     // run blocks in the opposite order — must not matter
@@ -214,17 +203,34 @@ class SvdCcdSpec extends AnyFunSuite {
     val affMid = Apmi.run(Fixtures.mid, alpha = 0.5, t = 5)
     val (n, d) = (affMid.fPrime.rows, affMid.fPrime.cols)
     val st1 = SvdCcd.greedyInit(affMid.fPrime, affMid.bPrime, 16, svdIters = 3)
-    val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+    val oracle = new ResidualSweep(st1)
     for (_ <- 1 to 6) {
       SvdCcd.nodeSweep(st1, 0, n)
       SvdCcd.attrSweep(st1, 0, d)
-      SvdCcd.nodeSweep(st2, 0, n)
-      columnStridedAttrSweep(st2)
+      oracle.nodePhase()
+      columnStridedAttrSweep(oracle)
     }
-    def rel(a: DenseMatrix, oracle: DenseMatrix): Double = (a - oracle).maxAbs / oracle.maxAbs
-    assert(rel(st1.y, st2.y) <= 1e-13, s"Y rel diff ${rel(st1.y, st2.y)}")
-    assert(rel(st1.sf, st2.sf) <= 1e-13, s"Sf rel diff ${rel(st1.sf, st2.sf)}")
-    assert(rel(st1.sb, st2.sb) <= 1e-13, s"Sb rel diff ${rel(st1.sb, st2.sb)}")
+    def rel(a: DenseMatrix, o: DenseMatrix): Double = (a - o).maxAbs / o.maxAbs
+    assert(rel(st1.y, oracle.y) <= 1e-13, s"Y rel diff ${rel(st1.y, oracle.y)}")
+    assert(rel(st1.sf, oracle.sf) <= 1e-13, s"Sf rel diff ${rel(st1.sf, oracle.sf)}")
+    assert(rel(st1.sb, oracle.sb) <= 1e-13, s"Sb rel diff ${rel(st1.sb, oracle.sb)}")
+  }
+
+  test("residual-free sweeps match the residual-maintaining oracle over 6 sweeps on citeseer-lite") {
+    val cfg = PaneConfig(k = 64)
+    val g = Datasets.load(Datasets.citeseer)
+    val a = Apmi.run(g, cfg.alpha, cfg.t)
+    val st = SvdCcd.greedyInit(a.fPrime, a.bPrime, cfg.k, cfg.t, cfg.seed)
+    val oracle = new ResidualSweep(st)
+    ParallelPane.psvdccd(st, iters = 6, nb = 1)
+    for (_ <- 1 to 6) { oracle.nodePhase(); oracle.attrPhase() }
+    for ((name, m, o) <- Seq(("Xf", st.xf, oracle.xf), ("Xb", st.xb, oracle.xb), ("Y", st.y, oracle.y))) {
+      val diff = (m - o).maxAbs
+      assert(diff <= 1e-12 * o.maxAbs, s"$name differs by $diff (max-abs ${o.maxAbs})")
+    }
+    val obj = SvdCcd.objective(a.fPrime, a.bPrime, Embeddings(st.xf, st.xb, st.y))
+    val objOracle = SvdCcd.objective(a.fPrime, a.bPrime, Embeddings(oracle.xf, oracle.xb, oracle.y))
+    assert(math.abs(obj - objOracle) <= 1e-12 * objOracle, s"objective $obj vs oracle $objOracle")
   }
 
   test("attrReplay reproduces the former SparkPane driver loop bit for bit") {
@@ -239,95 +245,81 @@ class SvdCcdSpec extends AnyFunSuite {
     val acc = gf ++ gb ++ hf.data ++ hb.data
     assert(acc.length == SvdCcd.attrGramSize(half, d))
     val y1 = y.copy
-    val delta1 = SvdCcd.attrReplay(y1, acc, 0, d)
+    SvdCcd.attrReplay(y1, acc, 0, d)
     val (gf2, gb2) = (gf.clone, gb.clone)
-    val (y2, delta2) = formerSparkReplay(y, gf2, gb2, hf, hb)
+    val (y2, _) = formerSparkReplay(y, gf2, gb2, hf, hb)
     assert(java.util.Arrays.equals(y1.data, y2.data))
-    assert(java.util.Arrays.equals(delta1, delta2.transpose.data)) // ΔYᵀ, l-major
     assert(java.util.Arrays.equals(acc.take(half * d), gf2))
     assert(java.util.Arrays.equals(acc.slice(half * d, 2 * half * d), gb2))
   }
 
-  test("staged rowPatch, nodeRow and residualRow equal the flat kernels bit for bit") {
-    // k/2 = 3 and 5 run the remainder loops, k/2 = 8 only the four-row
-    // passes; rows have lengths that are not multiples of 4 and start at
-    // offsets > 0; a quarter of the entries are exact zeros.
-    for (half <- Seq(3, 5, 8); w <- Seq(1, 7, 13)) {
+  test("staged nodeRow equals the flat kernel bit for bit for every k/2 % 4") {
+    // k/2 = 1..3 run only the remainder loops, 4 and 8 only the four-row
+    // passes, 5..7 both; rows have lengths that are not multiples of 4 and
+    // start at offsets > 0; a quarter of the entries are exact zeros.
+    for (half <- 1 to 8; w <- Seq(1, 7, 13)) {
       val rnd = new scala.util.Random(300L + 17 * half + w)
-      val where = s"k/2 = $half, w = $w"
-      val (cOff, sOff) = (2, 5)
-      val coef = mixed(cOff + half, rnd)
-      val m = mixed(half * w, rnd)
-      val s1 = mixed(sOff + w + 3, rnd)
-      val s2 = s1.clone
-      rowPatch(coef, cOff, half, m, w, s1, sOff)
-      flatRowPatch(coef, cOff, half, m, w, s2, sOff)
-      assert(java.util.Arrays.equals(s1, s2), s"rowPatch $where")
-
+      val where = s"k/2 = $half, d = $w"
       val y = new DenseMatrix(w, half, mixed(w * half, rnd))
       if (half == 5) for (j <- 0 until w) y(j, 1) = 0.0 // H[1,1] = 0: the skipped coordinate
       val (kern, flat) = (new SvdCcd.RowKernels(y), new FlatRowKernels(y))
       val rows = 3
       val (xOff, rOff) = (1, 2)
       val xf1 = mixed(xOff + rows * half, rnd); val xb1 = mixed(xOff + rows * half, rnd)
-      val sf1 = mixed(rOff + rows * w + 1, rnd); val sb1 = mixed(rOff + rows * w + 1, rnd)
-      val (xf2, xb2, sf2, sb2) = (xf1.clone, xb1.clone, sf1.clone, sb1.clone)
+      val f = mixed(rOff + rows * w + 1, rnd); val b = mixed(rOff + rows * w + 1, rnd)
+      val (xf2, xb2, f0, b0) = (xf1.clone, xb1.clone, f.clone, b.clone)
       for (i <- 0 until rows) {
-        kern.nodeRow(xf1, xb1, xOff + i * half, sf1, sb1, rOff + i * w)
-        flat.nodeRow(xf2, xb2, xOff + i * half, sf2, sb2, rOff + i * w)
+        kern.nodeRow(xf1, xb1, xOff + i * half, f, b, rOff + i * w)
+        flat.nodeRow(xf2, xb2, xOff + i * half, f, b, rOff + i * w)
       }
       assert(java.util.Arrays.equals(xf1, xf2) && java.util.Arrays.equals(xb1, xb2), s"nodeRow X $where")
-      assert(java.util.Arrays.equals(sf1, sf2) && java.util.Arrays.equals(sb1, sb2), s"nodeRow S $where")
-
-      val f = mixed(rOff + rows * w, rnd)
-      val r1 = mixed(rOff + rows * w, rnd)
-      val r2 = r1.clone
-      for (i <- 0 until rows) {
-        kern.residualRow(xf1, xOff + i * half, f, rOff + i * w, r1, rOff + i * w)
-        flat.residualRow(xf1, xOff + i * half, f, rOff + i * w, r2, rOff + i * w)
-      }
-      assert(java.util.Arrays.equals(r1, r2), s"residualRow $where")
+      assert(java.util.Arrays.equals(f, f0) && java.util.Arrays.equals(b, b0), s"nodeRow wrote F' or B', $where")
     }
   }
 
   test("staged attrGramRows equals the flat kernel bit for bit") {
-    // rows mod 4 = 1, 2, 3 and 0; sOff > 0 and sStride > w; the
-    // accumulator starts non-zero, as a second call on it would find it.
-    for (rows <- Seq(1, 4, 6, 7, 9); half <- Seq(3, 5, 8); w <- Seq(5, 7, 13)) {
+    // rows mod 4 = 1, 2, 3 and 0; k/2 mod 4 = 0..3; fOff > 0 and
+    // fStride > w; the accumulator starts non-zero, as a second call on it
+    // would find it; H is filled in two row ranges.
+    for (rows <- Seq(1, 4, 6, 7, 9); half <- Seq(3, 4, 5, 6, 8); w <- Seq(5, 7, 13)) {
       val rnd = new scala.util.Random(500L + 100 * rows + 10 * half + w)
-      val (sOff, stride) = (3, w + 4)
+      val (fOff, stride) = (3, w + 4)
       val (xf, xb) = (mixed(rows * half, rnd), mixed(rows * half, rnd))
-      val (sf, sb) = (mixed(sOff + rows * stride, rnd), mixed(sOff + rows * stride, rnd))
+      val (f, b) = (mixed(fOff + rows * stride, rnd), mixed(fOff + rows * stride, rnd))
       val acc1 = mixed(SvdCcd.attrGramSize(half, w), rnd)
       val acc2 = acc1.clone
-      SvdCcd.attrGramRows(xf, xb, sf, sb, sOff, stride, rows, half, w, acc1)
-      flatAttrGramRows(xf, xb, sf, sb, sOff, stride, rows, half, w, acc2)
+      SvdCcd.attrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, acc1)
+      val split = half / 2
+      SvdCcd.gramRows(xf, xb, rows, half, split, half, acc1, 2 * half * w)
+      SvdCcd.gramRows(xf, xb, rows, half, 0, split, acc1, 2 * half * w)
+      flatAttrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, acc2)
       assert(java.util.Arrays.equals(acc1, acc2), s"attrGramRows rows = $rows, k/2 = $half, w = $w")
     }
   }
 
-  test("nodeSweep, attrSweep and patchRows equal the flat-kernel sweeps bit for bit on sub-ranges") {
+  test("nodeSweep and attrSweep equal the flat-kernel sweeps bit for bit on sub-ranges") {
     val (n, d) = (13, 11)
-    for (half <- Seq(3, 5, 8)) {
+    for (half <- Seq(3, 4, 5, 6, 8)) {
       val rnd = new scala.util.Random(700L + half)
       def mat(r: Int, c: Int) = new DenseMatrix(r, c, mixed(r * c, rnd))
       val st1 = SvdCcd.State(mat(n, half), mat(n, half), mat(d, half), mat(n, d), mat(n, d))
-      val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.sf.copy, st1.sb.copy)
+      val st2 = SvdCcd.State(st1.xf.copy, st1.xb.copy, st1.y.copy, st1.f, st1.b)
       def same(step: String): Unit = {
         val where = s"k/2 = $half, $step"
         assert(java.util.Arrays.equals(st1.xf.data, st2.xf.data), s"Xf $where")
         assert(java.util.Arrays.equals(st1.xb.data, st2.xb.data), s"Xb $where")
         assert(java.util.Arrays.equals(st1.y.data, st2.y.data), s"Y $where")
-        assert(java.util.Arrays.equals(st1.sf.data, st2.sf.data), s"Sf $where")
-        assert(java.util.Arrays.equals(st1.sb.data, st2.sb.data), s"Sb $where")
       }
       SvdCcd.nodeSweep(st1, 3, 10); flatNodeSweep(st2, 3, 10); same("nodeSweep [3, 10)")
       SvdCcd.attrSweep(st1, 2, 9); flatAttrSweep(st2, 2, 9); same("attrSweep [2, 9)")
-      val deltaT = mixed(half * 5, rnd)
-      SvdCcd.patchRows(st1, deltaT, 3, 5); flatPatchRows(st2, deltaT, 3, 5); same("patchRows [3, 8)")
       for (it <- 0 until 2) {
         SvdCcd.nodeSweep(st1, 0, n); flatNodeSweep(st2, 0, n); same(s"full nodeSweep $it")
-        SvdCcd.attrSweep(st1, 0, d); flatAttrSweep(st2, 0, d); same(s"full attrSweep $it")
+        // The pool's form: H once, in two row ranges, shared by two column blocks.
+        val gram = new Array[Double](2 * half * half)
+        SvdCcd.gramRows(st1.xf.data, st1.xb.data, n, half, 0, 2, gram, 0)
+        SvdCcd.gramRows(st1.xf.data, st1.xb.data, n, half, 2, half, gram, 0)
+        SvdCcd.attrSweep(st1, 4, d, gram); SvdCcd.attrSweep(st1, 0, 4, gram)
+        flatAttrSweep(st2, 0, d); same(s"full attrSweep $it")
       }
     }
   }
@@ -350,9 +342,10 @@ class SvdCcdSpec extends AnyFunSuite {
   }
 
   /** The X-phase as first written: per node and coordinate, a dot product
-    * and an update over column l of row-major Y (stride k/2).
+    * and an update over column l of row-major Y (stride k/2), on the
+    * oracle's maintained residuals.
     */
-  private def columnStridedNodeSweep(st: SvdCcd.State): Unit = {
+  private def columnStridedNodeSweep(st: ResidualSweep): Unit = {
     val half = st.y.cols
     val d = st.y.rows
     val yColNorm = Array.tabulate(half)(l => (0 until d).map(j => st.y(j, l) * st.y(j, l)).sum)
@@ -372,7 +365,7 @@ class SvdCcdSpec extends AnyFunSuite {
   }
 
   /** The Y-phase as first written: column-strided over row-major Sf/Sb. */
-  private def columnStridedAttrSweep(st: SvdCcd.State): Unit = {
+  private def columnStridedAttrSweep(st: ResidualSweep): Unit = {
     val half = st.y.cols
     val n = st.xf.rows
     val d = st.y.rows
@@ -393,45 +386,14 @@ class SvdCcdSpec extends AnyFunSuite {
     }
   }
 
-  /** The driver loop SparkPane ran before it called SvdCcd.attrReplay;
-    * mutates gf and gb in place.
-    */
-  private def formerSparkReplay(y: DenseMatrix, gf: Array[Double], gb: Array[Double],
-                                hf: DenseMatrix, hb: DenseMatrix): (DenseMatrix, DenseMatrix) = {
-    val half = y.cols
-    val d = y.rows
-    val newY = y.copy
-    val delta = DenseMatrix.zeros(d, half)
-    var rj = 0
-    while (rj < d) {
-      var l = 0
-      while (l < half) {
-        val denom = hf(l, l) + hb(l, l)
-        if (denom > 1e-300) {
-          val mu = (gf(l * d + rj) + gb(l * d + rj)) / denom
-          newY(rj, l) = newY(rj, l) - mu
-          delta(rj, l) = mu
-          var l2 = 0
-          while (l2 < half) {
-            gf(l2 * d + rj) -= mu * hf(l2, l)
-            gb(l2 * d + rj) -= mu * hb(l2, l)
-            l2 += 1
-          }
-        }
-        l += 1
-      }
-      rj += 1
-    }
-    (newY, delta)
-  }
-
   private def objectiveOf(st: SvdCcd.State): Double =
     SvdCcd.objective(aff.fPrime, aff.bPrime, Embeddings(st.xf, st.xb, st.y))
 }
 
-/** The CCD kernels in their flat form, reading the n×d residuals at
-  * per-row offsets: what [[SvdCcd]] ran before it staged rows, kept as the
-  * bit-for-bit oracle of the staged kernels (here and in the kernel bench).
+/** The CCD kernels in their flat form, reading the n×d arrays at per-row
+  * offsets: the bit-for-bit oracles of the staged kernels (here and in the
+  * kernel bench), and the residual-maintaining sweep of Algorithm 4 that
+  * [[SvdCcd]] ran before its sweeps formed the gradients from F'.
   */
 object SvdCcdSpec {
 
@@ -440,15 +402,9 @@ object SvdCcdSpec {
     Array.fill(len)(if (rnd.nextInt(4) == 0) 0.0 else rnd.nextGaussian())
 
   /** One residual patch on flat arrays: s[sOff + c] −= Σ_l coef[cOff + l]·m[l·w + c]
-    * for c < w and l < half, where m is k/2 × w in l-major order. Splits m
-    * into rows and runs the staged patch on a copy of the row; the sweeps
-    * split their m once per call instead.
+    * for c < w and l < half, where m is k/2 × w in l-major order, four
+    * coordinates per pass.
     */
-  def rowPatch(coef: Array[Double], cOff: Int, half: Int,
-               m: Array[Double], w: Int,
-               s: Array[Double], sOff: Int): Unit =
-    SvdCcd.patchAt(coef, cOff, half, SvdCcd.lRows(m, 0, half, w), w, s, sOff, new Array[Double](w))
-
   def flatRowPatch(coef: Array[Double], cOff: Int, half: Int,
                    m: Array[Double], w: Int,
                    s: Array[Double], sOff: Int): Unit = {
@@ -488,8 +444,10 @@ object SvdCcdSpec {
     private val dxf = new Array[Double](half)
     private val dxb = new Array[Double](half)
 
-    def nodeRow(xf: Array[Double], xb: Array[Double], xOff: Int,
-                sf: Array[Double], sb: Array[Double], sOff: Int): Unit = {
+    /** gf, gb = m[i]·Y for the rows of mf, mb at `off`: eight sums per four
+      * coordinates, then one pair per remaining coordinate.
+      */
+    private def rowTimesY(mf: Array[Double], mb: Array[Double], off: Int): Unit = {
       var l = 0
       while (l + 4 <= half) {
         val o0 = l * d
@@ -499,14 +457,14 @@ object SvdCcdSpec {
         var f0, f1, f2, f3, b0, b1, b2, b3 = 0.0
         var j = 0
         while (j < d) {
-          val sfj = sf(sOff + j)
-          val sbj = sb(sOff + j)
+          val fj = mf(off + j)
+          val bj = mb(off + j)
           val y0 = yt(o0 + j)
           val y1 = yt(o1 + j)
           val y2 = yt(o2 + j)
           val y3 = yt(o3 + j)
-          f0 += sfj * y0; f1 += sfj * y1; f2 += sfj * y2; f3 += sfj * y3
-          b0 += sbj * y0; b1 += sbj * y1; b2 += sbj * y2; b3 += sbj * y3
+          f0 += fj * y0; f1 += fj * y1; f2 += fj * y2; f3 += fj * y3
+          b0 += bj * y0; b1 += bj * y1; b2 += bj * y2; b3 += bj * y3
           j += 1
         }
         gf(l) = f0; gf(l + 1) = f1; gf(l + 2) = f2; gf(l + 3) = f3
@@ -517,12 +475,16 @@ object SvdCcdSpec {
         val o0 = l * d
         var f0, b0 = 0.0
         var j = 0
-        while (j < d) { f0 += sf(sOff + j) * yt(o0 + j); b0 += sb(sOff + j) * yt(o0 + j); j += 1 }
+        while (j < d) { f0 += mf(off + j) * yt(o0 + j); b0 += mb(off + j) * yt(o0 + j); j += 1 }
         gf(l) = f0
         gb(l) = b0
         l += 1
       }
-      l = 0
+    }
+
+    /** The coordinate loop from g = S[i]·Y: X[i] updated, ΔX[i] in dxf, dxb. */
+    private def coordinates(xf: Array[Double], xb: Array[Double], xOff: Int): Unit = {
+      var l = 0
       while (l < half) {
         val hOff = l * half
         val hll = h(hOff + l)
@@ -546,10 +508,38 @@ object SvdCcdSpec {
         }
         l += 1
       }
+    }
+
+    /** The residual-free X-row update: g = X[i]·H − F'[i]·Y, with X[i]·H
+      * summed over the rows of H in order, then the coordinate loop.
+      */
+    def nodeRow(xf: Array[Double], xb: Array[Double], xOff: Int,
+                f: Array[Double], b: Array[Double], fOff: Int): Unit = {
+      rowTimesY(f, b, fOff)
+      for (l <- 0 until half) {
+        var sf, sb = 0.0
+        for (l2 <- 0 until half) {
+          sf += xf(xOff + l2) * h(l2 * half + l)
+          sb += xb(xOff + l2) * h(l2 * half + l)
+        }
+        gf(l) = sf - gf(l)
+        gb(l) = sb - gb(l)
+      }
+      coordinates(xf, xb, xOff)
+    }
+
+    /** The residual-maintaining X-row update: g = S[i]·Y, the coordinate
+      * loop, then S[i] −= ΔX[i]·Yᵀ.
+      */
+    def residualNodeRow(xf: Array[Double], xb: Array[Double], xOff: Int,
+                        sf: Array[Double], sb: Array[Double], sOff: Int): Unit = {
+      rowTimesY(sf, sb, sOff)
+      coordinates(xf, xb, xOff)
       flatRowPatch(dxf, 0, half, yt, d, sf, sOff)
       flatRowPatch(dxb, 0, half, yt, d, sb, sOff)
     }
 
+    /** Initial residual row S = X[i]·Yᵀ − F'[i]. */
     def residualRow(x: Array[Double], xOff: Int, f: Array[Double], fOff: Int,
                     s: Array[Double], sOff: Int): Unit = {
       var j = 0
@@ -560,8 +550,12 @@ object SvdCcdSpec {
     }
   }
 
+  /** XᵀM on w columns of M (M being F' and B', or Sf and Sb) and
+    * Hf = XfᵀXf, Hb = XbᵀXb, added to `acc` in the [[SvdCcd.attrGramSize]]
+    * layout: four node rows per pass, then the remainder rows.
+    */
   def flatAttrGramRows(xf: Array[Double], xb: Array[Double],
-                       sf: Array[Double], sb: Array[Double], sOff: Int, sStride: Int,
+                       mf: Array[Double], mb: Array[Double], mOff: Int, mStride: Int,
                        rows: Int, half: Int, w: Int, acc: Array[Double]): Unit = {
     val gSize = half * w
     val hfBase = 2 * gSize
@@ -572,10 +566,10 @@ object SvdCcdSpec {
       val x1 = x0 + half
       val x2 = x1 + half
       val x3 = x2 + half
-      val s0 = sOff + r * sStride
-      val s1 = s0 + sStride
-      val s2 = s1 + sStride
-      val s3 = s2 + sStride
+      val s0 = mOff + r * mStride
+      val s1 = s0 + mStride
+      val s2 = s1 + mStride
+      val s3 = s2 + mStride
       var l = 0
       while (l < half) {
         val f0 = xf(x0 + l); val f1 = xf(x1 + l); val f2 = xf(x2 + l); val f3 = xf(x3 + l)
@@ -584,8 +578,8 @@ object SvdCcdSpec {
         val gbOff = gSize + l * w
         var c = 0
         while (c < w) {
-          acc(gfOff + c) += f0 * sf(s0 + c) + f1 * sf(s1 + c) + f2 * sf(s2 + c) + f3 * sf(s3 + c)
-          acc(gbOff + c) += b0 * sb(s0 + c) + b1 * sb(s1 + c) + b2 * sb(s2 + c) + b3 * sb(s3 + c)
+          acc(gfOff + c) += f0 * mf(s0 + c) + f1 * mf(s1 + c) + f2 * mf(s2 + c) + f3 * mf(s3 + c)
+          acc(gbOff + c) += b0 * mb(s0 + c) + b1 * mb(s1 + c) + b2 * mb(s2 + c) + b3 * mb(s3 + c)
           c += 1
         }
         val hfOff = hfBase + l * half
@@ -602,7 +596,7 @@ object SvdCcdSpec {
     }
     while (r < rows) {
       val x0 = r * half
-      val s0 = sOff + r * sStride
+      val s0 = mOff + r * mStride
       var l = 0
       while (l < half) {
         val f0 = xf(x0 + l)
@@ -611,8 +605,8 @@ object SvdCcdSpec {
         val gbOff = gSize + l * w
         var c = 0
         while (c < w) {
-          acc(gfOff + c) += f0 * sf(s0 + c)
-          acc(gbOff + c) += b0 * sb(s0 + c)
+          acc(gfOff + c) += f0 * mf(s0 + c)
+          acc(gbOff + c) += b0 * mb(s0 + c)
           c += 1
         }
         val hfOff = hfBase + l * half
@@ -634,28 +628,97 @@ object SvdCcdSpec {
     val half = st.xf.cols
     val d = st.y.rows
     val kern = new FlatRowKernels(st.y)
-    for (i <- rowFrom until rowUntil) kern.nodeRow(st.xf.data, st.xb.data, i * half, st.sf.data, st.sb.data, i * d)
+    for (i <- rowFrom until rowUntil) kern.nodeRow(st.xf.data, st.xb.data, i * half, st.f.data, st.b.data, i * d)
   }
 
-  /** [[SvdCcd.patchRows]] on the flat kernel. */
-  def flatPatchRows(st: SvdCcd.State, deltaT: Array[Double], from: Int, w: Int): Unit = {
-    val half = st.y.cols
-    val d = st.y.rows
-    for (i <- 0 until st.xf.rows) {
-      flatRowPatch(st.xf.data, i * half, half, deltaT, w, st.sf.data, i * d + from)
-      flatRowPatch(st.xb.data, i * half, half, deltaT, w, st.sb.data, i * d + from)
-    }
-  }
-
-  /** [[SvdCcd.attrSweep]] on the flat kernels ([[SvdCcd.attrReplay]] is
-    * unchanged).
+  /** [[SvdCcd.attrSweep]] on the flat kernel ([[SvdCcd.attrUpdate]] is
+    * shared).
     */
   def flatAttrSweep(st: SvdCcd.State, attrFrom: Int, attrUntil: Int): Unit = {
     val half = st.y.cols
     val d = st.y.rows
     val w = attrUntil - attrFrom
     val acc = new Array[Double](SvdCcd.attrGramSize(half, w))
-    flatAttrGramRows(st.xf.data, st.xb.data, st.sf.data, st.sb.data, attrFrom, d, st.xf.rows, half, w, acc)
-    flatPatchRows(st, SvdCcd.attrReplay(st.y, acc, attrFrom, w), attrFrom, w)
+    flatAttrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, attrFrom, d, st.xf.rows, half, w, acc)
+    SvdCcd.attrUpdate(st.y, acc, attrFrom, w)
+  }
+
+  /** The driver loop SparkPane ran before it called SvdCcd.attrReplay;
+    * mutates gf and gb in place and returns the new Y and ΔY.
+    */
+  def formerSparkReplay(y: DenseMatrix, gf: Array[Double], gb: Array[Double],
+                        hf: DenseMatrix, hb: DenseMatrix): (DenseMatrix, DenseMatrix) = {
+    val half = y.cols
+    val d = y.rows
+    val newY = y.copy
+    val delta = DenseMatrix.zeros(d, half)
+    var rj = 0
+    while (rj < d) {
+      var l = 0
+      while (l < half) {
+        val denom = hf(l, l) + hb(l, l)
+        if (denom > 1e-300) {
+          val mu = (gf(l * d + rj) + gb(l * d + rj)) / denom
+          newY(rj, l) = newY(rj, l) - mu
+          delta(rj, l) = mu
+          var l2 = 0
+          while (l2 < half) {
+            gf(l2 * d + rj) -= mu * hf(l2, l)
+            gb(l2 * d + rj) -= mu * hb(l2, l)
+            l2 += 1
+          }
+        }
+        l += 1
+      }
+      rj += 1
+    }
+    (newY, delta)
+  }
+
+  /** Algorithm 4's sweep as [[SvdCcd]] ran it until its sweeps formed the
+    * gradients from F': Sf = Xf·Yᵀ − F' and Sb = Xb·Yᵀ − B' kept up to date
+    * by a patch after every X row and after the Y-phase, on the flat
+    * kernels (which the staged ones equalled bit for bit). Starts from
+    * copies of `init`'s X and Y.
+    */
+  final class ResidualSweep(init: SvdCcd.State) {
+    val xf: DenseMatrix = init.xf.copy
+    val xb: DenseMatrix = init.xb.copy
+    val y: DenseMatrix = init.y.copy
+    private val n = xf.rows
+    private val half = y.cols
+    private val d = y.rows
+    val sf: DenseMatrix = DenseMatrix.zeros(n, d)
+    val sb: DenseMatrix = DenseMatrix.zeros(n, d)
+
+    locally {
+      val kern = new FlatRowKernels(y)
+      for (i <- 0 until n) {
+        kern.residualRow(xf.data, i * half, init.f.data, i * d, sf.data, i * d)
+        kern.residualRow(xb.data, i * half, init.b.data, i * d, sb.data, i * d)
+      }
+    }
+
+    /** The X-phase: one residual-maintaining row update per node. */
+    def nodePhase(): Unit = {
+      val kern = new FlatRowKernels(y)
+      for (i <- 0 until n) kern.residualNodeRow(xf.data, xb.data, i * half, sf.data, sb.data, i * d)
+    }
+
+    /** The Y-phase: XᵀS and H, the replay, then S −= X·ΔYᵀ. */
+    def attrPhase(): Unit = {
+      val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
+      flatAttrGramRows(xf.data, xb.data, sf.data, sb.data, 0, d, n, half, d, acc)
+      val gSize = half * d
+      val hf = new DenseMatrix(half, half, acc.slice(2 * gSize, 2 * gSize + half * half))
+      val hb = new DenseMatrix(half, half, acc.slice(2 * gSize + half * half, acc.length))
+      val (newY, delta) = formerSparkReplay(y, acc.take(gSize), acc.slice(gSize, 2 * gSize), hf, hb)
+      System.arraycopy(newY.data, 0, y.data, 0, y.data.length)
+      val deltaT = delta.transpose.data
+      for (i <- 0 until n) {
+        flatRowPatch(xf.data, i * half, half, deltaT, d, sf.data, i * d)
+        flatRowPatch(xb.data, i * half, half, deltaT, d, sb.data, i * d)
+      }
+    }
   }
 }

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.eval.Tasks
 import repro.linalg.CooOracle
+import repro.linalg.DenseMatrixOps._
 
 class AttributedGraphSpec extends AnyFunSuite {
 

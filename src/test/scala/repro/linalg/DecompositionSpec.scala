@@ -3,6 +3,7 @@ package repro.linalg
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.PropSupport
+import repro.linalg.DenseMatrixOps._
 
 class DecompositionSpec extends AnyFunSuite with PropSupport {
 

@@ -1,0 +1,29 @@
+package repro.linalg
+
+/** Reductions over a [[DenseMatrix]] that only the tests use. */
+object DenseMatrixOps {
+
+  implicit final class Reductions(private val m: DenseMatrix) extends AnyVal {
+
+    /** Largest absolute entry — handy in approximation tests. */
+    def maxAbs: Double = {
+      var r = 0.0
+      var i = 0
+      while (i < m.data.length) { val a = math.abs(m.data(i)); if (a > r) r = a; i += 1 }
+      r
+    }
+
+    /** Column sums, length `cols`. */
+    def colSums: Array[Double] = {
+      val s = new Array[Double](m.cols)
+      var i = 0
+      while (i < m.rows) {
+        val off = i * m.cols
+        var j = 0
+        while (j < m.cols) { s(j) += m.data(off + j); j += 1 }
+        i += 1
+      }
+      s
+    }
+  }
+}

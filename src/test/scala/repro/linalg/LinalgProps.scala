@@ -2,6 +2,7 @@ package repro.linalg
 
 import org.scalacheck.{Gen, Prop, Properties}
 import org.scalacheck.Prop.forAll
+import repro.linalg.DenseMatrixOps._
 
 /** Pure-ScalaCheck property suite (sbt runs the ScalaCheck framework
   * natively, no scalatestplus bridge needed). Complements the ScalaTest

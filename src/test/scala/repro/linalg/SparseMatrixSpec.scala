@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.PropSupport
 import CooOracle.fromTriples
+import repro.linalg.DenseMatrixOps._
 
 class SparseMatrixSpec extends AnyFunSuite with PropSupport {
 

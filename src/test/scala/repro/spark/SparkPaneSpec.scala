@@ -7,6 +7,7 @@ import repro.{Fixtures, SparkSpec}
 import repro.core.{Apmi, Pane, PaneConfig, ParallelPane}
 import repro.eval.Tasks
 import repro.linalg.DenseMatrix
+import repro.linalg.DenseMatrixOps._
 
 class SparkPaneSpec extends SparkSpec {
 
@@ -37,13 +38,12 @@ class SparkPaneSpec extends SparkSpec {
   }
 
   /** The distributed affinity blocks as dense F' and B', for comparison
-    * with the single-thread APMI; fails on a consumed block.
+    * with the single-thread APMI.
     */
   private def collectAffinity(aff: RDD[(Int, SparkPane.AffBlock)], n: Int, d: Int): (DenseMatrix, DenseMatrix) = {
     val f = DenseMatrix.zeros(n, d)
     val b = DenseMatrix.zeros(n, d)
-    aff.collect().foreach { case (bi, a) =>
-      a.requireUnconsumed(bi)
+    aff.collect().foreach { case (_, a) =>
       System.arraycopy(a.f.data, 0, f.data, a.from * d, a.f.data.length)
       System.arraycopy(a.b.data, 0, b.data, a.from * d, a.b.data.length)
     }
@@ -80,7 +80,7 @@ class SparkPaneSpec extends SparkSpec {
       val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
       aff.unpersist()
       assert(placement(state) == expected, s"SMGreedyInit blocks at nb=$nb")
-      val (next, _, _) = SparkPane.sweep(state, y, Array.emptyDoubleArray)
+      val (next, _) = SparkPane.sweep(state, y)
       assert(placement(next) == expected, s"sweep blocks at nb=$nb")
       next.unpersist()
     }
@@ -100,34 +100,38 @@ class SparkPaneSpec extends SparkSpec {
     val nb = 2
     val aff = SparkPane.papmi(g, alpha, t, nb, spark)
     val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
-    val (next, y1, d1) = SparkPane.sweep(state, y, Array.emptyDoubleArray)
-    val msg = failureMessages(SparkPane.sweep(state, y, Array.emptyDoubleArray))
+    val (next, y1) = SparkPane.sweep(state, y)
+    val msg = failureMessages(SparkPane.sweep(state, y))
     assert("CCD block [01]: sweep 0 found the block after 1 sweeps".r.findFirstIn(msg).nonEmpty, msg)
-    val (after, _, _) = SparkPane.sweep(next, y1, d1)
-    val msg2 = failureMessages(SparkPane.sweep(next, y1, d1))
+    val (after, _) = SparkPane.sweep(next, y1)
+    val msg2 = failureMessages(SparkPane.sweep(next, y1))
     assert("CCD block [01]: sweep 1 found the block after 2 sweeps".r.findFirstIn(msg2).nonEmpty, msg2)
     val guarded = xfBlocks(after)
     after.unpersist()
 
     // The same two sweeps without the refused ones: the failures touched nothing.
     val (clean0, cy) = SparkPane.smGreedyInit(SparkPane.papmi(g, alpha, t, nb, spark), k, 2, 42L)
-    val (clean1, cy1, cd1) = SparkPane.sweep(clean0, cy, Array.emptyDoubleArray)
-    val (clean2, _, _) = SparkPane.sweep(clean1, cy1, cd1)
+    val (clean1, cy1) = SparkPane.sweep(clean0, cy)
+    val (clean2, _) = SparkPane.sweep(clean1, cy1)
     assert(xfBlocks(clean2) == guarded)
     clean2.unpersist()
   }
 
-  test("a second smGreedyInit on the same PAPMI blocks fails naming the block") {
+  test("SMGreedyInit and a sweep leave the PAPMI blocks' F' and B' as they were") {
     val before = spark.sparkContext.getPersistentRDDs.keySet
     val aff = SparkPane.papmi(g, alpha, t, 2, spark).cache()
-    val (state, _) = SparkPane.smGreedyInit(aff, k, 2, 42L)
-    val msg = failureMessages(SparkPane.smGreedyInit(aff, k, 2, 42L))
-    assert("PAPMI block [01] was consumed by an earlier SMGreedyInit".r.findFirstIn(msg).nonEmpty, msg)
-    val msg2 = failureMessages(collectAffinity(aff, g.n, g.d))
-    assert("PAPMI block [01] was consumed".r.findFirstIn(msg2).nonEmpty, msg2)
-    state.unpersist()
+    val (f0, b0) = collectAffinity(aff, g.n, g.d)
+    val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+    val (next, _) = SparkPane.sweep(state, y)
+    val (f1, b1) = collectAffinity(aff, g.n, g.d)
+    assert(java.util.Arrays.equals(f0.data, f1.data) && java.util.Arrays.equals(b0.data, b1.data))
+    // A second init on the same blocks reads the same F' and B'.
+    val (again, y2) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+    assert(java.util.Arrays.equals(y.data, y2.data))
+    val (fresh, _) = SparkPane.smGreedyInit(SparkPane.papmi(g, alpha, t, 2, spark), k, 2, 42L)
+    assert(xfBlocks(again) == xfBlocks(fresh))
+    for (r <- Seq(next, again, fresh)) r.unpersist()
     aff.unpersist()
-    // The refused init left nothing persisted behind.
     assert(spark.sparkContext.getPersistentRDDs.keySet == before)
   }
 
