@@ -20,15 +20,6 @@ import repro.linalg.{DenseMatrix, RandSvd}
   */
 object Bane {
 
-  final case class Model(x: DenseMatrix) {
-    def score(vi: Int, vj: Int): Double = {
-      var s = 0.0
-      var l = 0
-      while (l < x.cols) { s += x(vi, l) * x(vj, l); l += 1 }
-      s
-    }
-  }
-
   /** Shared real-valued factor before quantization. */
   private def realFactor(g: AttributedGraph, k: Int, hops: Int, seed: Long): DenseMatrix = {
     // Â: row-normalized adjacency with self-loops on the symmetrized graph
@@ -48,13 +39,13 @@ object Bane {
   }
 
   /** BANE: 1-bit sign codes. */
-  def embed(g: AttributedGraph, k: Int, hops: Int = 2, seed: Long = 42L): Model =
-    Model(realFactor(g, k, hops, seed).map(v => if (v >= 0) 1.0 else -1.0))
+  def embed(g: AttributedGraph, k: Int, hops: Int = 2, seed: Long = 42L): DotModel =
+    DotModel(realFactor(g, k, hops, seed).map(v => if (v >= 0) 1.0 else -1.0))
 
   /** LQANR: b-bit codes in {−2^b, …, −1, 0, 1, …, 2^b}, max-abs scaled
     * per column.
     */
-  def quantized(g: AttributedGraph, k: Int, bits: Int, hops: Int = 2, seed: Long = 42L): Model = {
+  def quantized(g: AttributedGraph, k: Int, bits: Int, hops: Int = 2, seed: Long = 42L): DotModel = {
     require(bits >= 1 && bits <= 8, "bits must be in [1, 8]")
     val x = realFactor(g, k, hops, seed)
     val levels = (1 << bits).toDouble
@@ -68,6 +59,6 @@ object Bane {
       while (i < x.rows) { x(i, l) = math.rint(x(i, l) * scale); i += 1 }
       l += 1
     }
-    Model(x)
+    DotModel(x)
   }
 }

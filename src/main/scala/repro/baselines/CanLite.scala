@@ -27,13 +27,10 @@ object CanLite {
       s
     }
 
+    private val nodes = DotModel(x)
+
     /** Link score: inner product of node embeddings (CAN's own method). */
-    def linkScore(vi: Int, vj: Int): Double = {
-      var s = 0.0
-      var l = 0
-      while (l < x.cols) { s += x(vi, l) * x(vj, l); l += 1 }
-      s
-    }
+    def linkScore(vi: Int, vj: Int): Double = nodes.score(vi, vj)
   }
 
   /** @param t receptive-field depth. Defaults to 2, matching CAN's

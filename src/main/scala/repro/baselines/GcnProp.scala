@@ -15,16 +15,7 @@ import repro.linalg.{DenseMatrix, SparseMatrix}
   */
 object GcnProp {
 
-  final case class Model(x: DenseMatrix) {
-    def score(vi: Int, vj: Int): Double = {
-      var s = 0.0
-      var l = 0
-      while (l < x.cols) { s += x(vi, l) * x(vj, l); l += 1 }
-      s
-    }
-  }
-
-  def embed(g: AttributedGraph, k: Int, hops: Int = 2, seed: Long = 42L): Model = {
+  def embed(g: AttributedGraph, k: Int, hops: Int = 2, seed: Long = 42L): DotModel = {
     // Â = D̃^{-1/2} (A_sym + I) D̃^{-1/2}
     val a = g.symmetrized.withSelfLoops.adjacency
     val deg = a.rowSums
@@ -41,6 +32,6 @@ object GcnProp {
     val aHat = new SparseMatrix(g.n, g.n, a.rowPtr, a.colIdx, vals)
     // α = 0: `hops` plain products Â·M from M = R̃.
     val m = DenseMatrix.fromRows(Apmi.propagate(aHat, g.attrRowNorm, 0.0, hops, 0, g.d).toSeq)
-    Model(SvdCcd.scaledSvd(m, k, 6, seed)._1)
+    DotModel(SvdCcd.scaledSvd(m, k, 6, seed)._1)
   }
 }

@@ -16,17 +16,8 @@ object NetMf {
 
   val maxNodes: Int = 10000
 
-  final case class Model(x: DenseMatrix) {
-    def score(vi: Int, vj: Int): Double = {
-      var s = 0.0
-      var l = 0
-      while (l < x.cols) { s += x(vi, l) * x(vj, l); l += 1 }
-      s
-    }
-  }
-
   def embed(g: AttributedGraph, k: Int, window: Int = 5, negatives: Double = 1.0,
-            seed: Long = 42L): Model = {
+            seed: Long = 42L): DotModel = {
     require(g.n <= maxNodes,
       s"NetMF materializes an n×n matrix; n=${g.n} exceeds $maxNodes " +
         "(the paper's large-graph '-' wall)")
@@ -67,6 +58,6 @@ object NetMf {
       while (j < k) { x(i, j) = u(i, j) * math.sqrt(math.max(sig(j), 0.0)); j += 1 }
       i += 1
     }
-    Model(x)
+    DotModel(x)
   }
 }

@@ -22,17 +22,8 @@ object Tadw {
   /** Graphs larger than this would need an n×n dense proximity matrix. */
   val maxNodes: Int = 10000
 
-  final case class Model(x: DenseMatrix) {
-    def score(vi: Int, vj: Int): Double = {
-      var s = 0.0
-      var l = 0
-      while (l < x.cols) { s += x(vi, l) * x(vj, l); l += 1 }
-      s
-    }
-  }
-
   def embed(g: AttributedGraph, k: Int, ft: Int = 80, lambda: Double = 0.2,
-            iters: Int = 10, seed: Long = 42L): Model = {
+            iters: Int = 10, seed: Long = 42L): DotModel = {
     require(g.n <= maxNodes,
       s"TADW materializes an n×n proximity matrix; n=${g.n} exceeds $maxNodes " +
         "(the same scalability wall the paper reports as '-')")
@@ -83,6 +74,6 @@ object Tadw {
       }
       i += 1
     }
-    Model(x)
+    DotModel(x)
   }
 }

@@ -5,23 +5,24 @@ import repro.linalg.DenseMatrix
 
 /** PANE hyper-parameters (paper defaults: k = 128, α = 0.5, ε = 0.015).
   *
-  * @param k        total embedding space budget (k/2 per direction)
-  * @param alpha    random walk stopping probability
-  * @param eps      error threshold — sets the iteration count t
-  * @param ccdIters optional override for the number of CCD sweeps
-  *                 (defaults to t, as in Algorithm 1 which reuses t);
-  *                 RandSVD keeps t power iterations either way
-  * @param seed     randomness seed (RandSVD sketches)
+  * @param k     total embedding space budget (k/2 per direction)
+  * @param alpha random walk stopping probability
+  * @param eps   error threshold — sets the iteration count t
+  * @param seed  randomness seed (RandSVD sketches)
   */
 final case class PaneConfig(
     k: Int = 128,
     alpha: Double = 0.5,
     eps: Double = 0.015,
-    ccdIters: Option[Int] = None,
     seed: Long = 42L,
 ) {
+  /** Algorithm 1 Line 1: the APMI hops, the RandSVD power iterations and
+    * the CCD sweeps.
+    */
   def t: Int = Apmi.iterations(alpha, eps)
-  def refineIters: Int = ccdIters.getOrElse(t)
+
+  /** The number of CCD sweeps, which is t. */
+  def refineIters: Int = t
 
   /** Rejects an nb below 1, and a k that cannot embed an n-node,
     * d-attribute graph in `nb` node blocks, before any work starts: k must
@@ -46,21 +47,13 @@ final case class PaneConfig(
   */
 object Pane {
 
-  def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings =
-    embedFrom(g, cfg)(aff => SvdCcd.greedyInit(aff.fPrime, aff.bPrime, cfg.k, cfg.t, cfg.seed))
-
-  /** PANE-R (§5.7): identical pipeline but with random initialization in
-    * place of GreedyInit.
-    */
-  def embedRandomInit(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings =
-    embedFrom(g, cfg)(aff => SvdCcd.randomInit(aff.fPrime, aff.bPrime, cfg.k, cfg.seed))
-
-  /** APMI, `init` on its result, then `cfg.refineIters` CCD sweeps, all as
+  /** APMI, GreedyInit with t power iterations, then t CCD sweeps, all as
     * one node block.
     */
-  private def embedFrom(g: AttributedGraph, cfg: PaneConfig)(init: Apmi.Result => SvdCcd.State): Embeddings = {
+  def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig()): Embeddings = {
     cfg.requireK(g.n, g.d, 1)
-    ParallelPane.psvdccd(init(Apmi.run(g, cfg.alpha, cfg.t)), cfg.refineIters, 1)
+    val aff = Apmi.run(g, cfg.alpha, cfg.t)
+    ParallelPane.psvdccd(SvdCcd.greedyInit(aff.fPrime, aff.bPrime, cfg.k, cfg.t, cfg.seed), cfg.refineIters, 1)
   }
 
   /** Attribute-inference score (Equation 21):

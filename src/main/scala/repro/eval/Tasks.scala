@@ -18,17 +18,22 @@ object Tasks {
   /** Attribute-inference split (§5.2): hold out `1 − trainRatio` of the
     * non-zero attribute entries as test positives; train on the rest;
     * negatives are uniformly sampled absent (node, attr) pairs of equal
-    * count.
+    * count (they may repeat). Fails before sampling if every pair is
+    * present.
     *
     * @return (training graph, test pairs)
     */
   def attributeInference(g: AttributedGraph, trainRatio: Double = 0.8,
                          seed: Long = 99L): (AttributedGraph, Array[TestPair]) = {
     require(trainRatio > 0 && trainRatio < 1, "trainRatio in (0,1)")
-    val rnd = new Random(seed)
     val size = g.numAttrEntries
-    val idx = shuffledIndices(size, rnd)
     val nTrain = (size * trainRatio).toInt
+    val distinct = g.attrEntrySet.distinct
+    require(nTrain == size || distinct < g.n.toLong * g.d,
+      s"cannot sample ${size - nTrain} negative (node, attribute) pairs: all n·d pairs of n = ${g.n} nodes " +
+        s"and d = ${g.d} attributes are among the $distinct distinct attribute entries")
+    val rnd = new Random(seed)
+    val idx = shuffledIndices(size, rnd)
     val node = new Array[Int](nTrain)
     val attr = new Array[Int](nTrain)
     val w = new Array[Double](nTrain)
@@ -61,7 +66,8 @@ object Tasks {
   /** Link-prediction split (§5.3): remove `removeRatio` of the edges
     * (whole undirected pairs on undirected graphs), keep the residual
     * graph for training, and build a test set of the removed edges plus
-    * an equal number of non-edges.
+    * an equal number of non-edges (they may repeat). Fails before sampling
+    * if every pair of distinct nodes is an edge.
     *
     * @return (residual graph, test pairs)
     */
@@ -70,8 +76,10 @@ object Tasks {
     require(removeRatio > 0 && removeRatio < 1, "removeRatio in (0,1)")
     val rnd = new Random(seed)
     if (g.directed) {
-      val idx = shuffledIndices(g.m, rnd)
       val nRemove = (g.m * removeRatio).toInt
+      val selfLoops = (0 until g.n).count(i => g.edgeSet.contains(i.toLong * g.n + i))
+      requireNonEdge(g, nRemove, g.edgeSet.distinct - selfLoops)
+      val idx = shuffledIndices(g.m, rnd)
       val kept = java.util.Arrays.copyOfRange(idx, nRemove, g.m)
       val residual = g.withEdges(kept.map(i => g.src(i)), kept.map(i => g.dst(i)))
       val positives = Array.tabulate(nRemove)(r => TestPair(g.src(idx(r)), g.dst(idx(r)), positive = true))
@@ -90,8 +98,9 @@ object Tasks {
         i += 1
       }
       val pairs = keys.result()
-      val shuffled = shuffledIndices(pairs.length, rnd).map(i => pairs(i))
       val nRemove = (pairs.length * removeRatio).toInt
+      requireNonEdge(g, nRemove, 2L * pairs.count(key => key / n != key % n))
+      val shuffled = shuffledIndices(pairs.length, rnd).map(i => pairs(i))
       val src = new Array[Int](2 * (pairs.length - nRemove))
       val dst = new Array[Int](src.length)
       var r = nRemove
@@ -124,6 +133,15 @@ object Tasks {
     }
     idx
   }
+
+  /** Fails unless `count` is 0 or some ordered pair of distinct nodes is a
+    * non-edge, given that `edges` of the n·(n − 1) such pairs are edges (in
+    * either direction, on an undirected graph).
+    */
+  private def requireNonEdge(g: AttributedGraph, count: Int, edges: Long): Unit =
+    require(count == 0 || edges < g.n.toLong * (g.n - 1),
+      s"cannot sample $count negative (node, node) pairs: every ordered pair of distinct nodes among n = ${g.n} is an edge " +
+        s"(m = ${g.m}, ${g.edgeSet.distinct} distinct)")
 
   private def sampleNonEdges(g: AttributedGraph, count: Int, rnd: Random): Array[TestPair] = {
     val out = new Array[TestPair](count)

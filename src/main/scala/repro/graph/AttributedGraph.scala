@@ -28,8 +28,9 @@ final case class AttributedGraph(
   checkEntries()
 
   /** One pass over the edge and attribute arrays: ids in range, weights
-    * finite. Explicit checks, not `require`, whose by-name message would
-    * allocate a closure per entry.
+    * finite and non-negative (Equation 1 reads them as pick probabilities).
+    * Explicit checks, not `require`, whose by-name message would allocate
+    * a closure per entry.
     */
   private def checkEntries(): Unit = {
     def bad(msg: String): Nothing = throw new IllegalArgumentException(msg)
@@ -49,6 +50,7 @@ final case class AttributedGraph(
       if (v < 0 || v >= n) bad(s"attribute entry $i: node $v out of range [0,$n)")
       if (r < 0 || r >= d) bad(s"attribute entry $i: attribute $r out of range [0,$d)")
       if (!java.lang.Double.isFinite(w)) bad(s"attribute entry $i: weight $w is not finite")
+      if (w < 0) bad(s"attribute entry $i: weight $w is negative")
       i += 1
     }
   }
@@ -156,8 +158,9 @@ final case class AttributedGraph(
 
 /** A membership set of Long keys: the keys sorted (repeats allowed), looked
   * up by binary search, so neither building nor probing boxes a key.
+  * `distinct` is the number of different keys.
   */
-final class SortedKeys private (keys: Array[Long]) extends Serializable {
+final class SortedKeys private (keys: Array[Long], val distinct: Int) extends Serializable {
   def contains(key: Long): Boolean = java.util.Arrays.binarySearch(keys, key) >= 0
 }
 
@@ -165,6 +168,12 @@ object SortedKeys {
   /** Sorts `keys` in place and takes them over. */
   def apply(keys: Array[Long]): SortedKeys = {
     java.util.Arrays.sort(keys)
-    new SortedKeys(keys)
+    var distinct = 0
+    var i = 0
+    while (i < keys.length) {
+      if (i == 0 || keys(i) != keys(i - 1)) distinct += 1
+      i += 1
+    }
+    new SortedKeys(keys, distinct)
   }
 }

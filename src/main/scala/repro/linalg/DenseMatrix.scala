@@ -118,7 +118,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
     t
   }
 
-  def +(b: DenseMatrix): DenseMatrix = zipWith(b, _ + _)
   def -(b: DenseMatrix): DenseMatrix = zipWith(b, _ - _)
 
   def zipWith(b: DenseMatrix, f: (Double, Double) => Double): DenseMatrix = {
@@ -144,21 +143,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
     var i = 0
     while (i < data.length) { s += data(i) * data(i); i += 1 }
     math.sqrt(s)
-  }
-
-  /** Row sums, length `rows`. */
-  def rowSums: Array[Double] = {
-    val s = new Array[Double](rows)
-    var i = 0
-    while (i < rows) {
-      val off = i * cols
-      var j = 0
-      var acc = 0.0
-      while (j < cols) { acc += data(off + j); j += 1 }
-      s(i) = acc
-      i += 1
-    }
-    s
   }
 
   /** Matrix block of the given row range [from, until). */

@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.{HashPartitioner, Partition, TaskContext}
+import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.StorageLevel
@@ -55,10 +55,8 @@ import repro.linalg.DenseMatrix
   */
 object SparkPane extends Serializable {
 
-  /** Node block i of `ranges(n, nb)`: its first node and its rows of F'
-    * and B'.
-    */
-  final case class AffBlock(from: Int, f: DenseMatrix, b: DenseMatrix)
+  /** Node block i of `ranges(n, nb)`: its rows of F' and B'. */
+  final case class AffBlock(f: DenseMatrix, b: DenseMatrix)
 
   /** CCD state of one node block: its rows of Xf and Xb, swept in place,
     * and of F' and B' (its [[AffBlock]]'s), read only. `sweeps` counts the
@@ -84,22 +82,6 @@ object SparkPane extends Serializable {
       sweeps += 1
       busy = false
     }
-  }
-
-  /** The one cached RDD of [[CcdBlock]]s (block i in partition i), seen
-    * after `sweeps` sweeps. Every sweep returns a new view of the same
-    * cached blocks; unpersisting any view unpersists them.
-    */
-  private[spark] final class CcdBlocks(blocks: RDD[(Int, CcdBlock)], val sweeps: Int)
-      extends RDD[(Int, CcdBlock)](blocks) {
-    override protected def getPartitions: Array[Partition] = firstParent[(Int, CcdBlock)].partitions
-    override def compute(split: Partition, context: TaskContext): Iterator[(Int, CcdBlock)] =
-      firstParent[(Int, CcdBlock)].iterator(split, context)
-    override def unpersist(blocking: Boolean = false): this.type = {
-      firstParent[(Int, CcdBlock)].unpersist(blocking)
-      this
-    }
-    def next: CcdBlocks = new CcdBlocks(firstParent[(Int, CcdBlock)], sweeps + 1)
   }
 
   /** Distributed PAPMI: one [[AffBlock]] per node block of `ranges(n, nb)`,
@@ -140,21 +122,20 @@ object SparkPane extends Serializable {
       }
       // B' needs full rows: row-normalize then SPMI (Alg 2 Lines 7-8).
       Apmi.spmiRows(b, 0, rows)
-      Iterator.single((bi, AffBlock(from, f, b)))
+      Iterator.single((bi, AffBlock(f, b)))
     }, preservesPartitioning = true)
   }
 
-  /** Full distributed PANE. `nb` is the number of node/SVD blocks
-    * (defaults to the cluster parallelism). A k that does not fit the graph
-    * and nb fails before any job starts ([[PaneConfig.requireK]]).
+  /** Full distributed PANE. `nb` is the number of node/SVD blocks; the
+    * result depends on it, so the caller always gives it. A k that does not
+    * fit the graph and nb fails before any job starts
+    * ([[PaneConfig.requireK]]).
     */
   def embed(g: AttributedGraph, cfg: PaneConfig = PaneConfig(),
-            nbOpt: Option[Int] = None)(implicit spark: SparkSession): Embeddings = {
-    val sc = spark.sparkContext
-    val nb = nbOpt.getOrElse(sc.defaultParallelism)
-    cfg.requireK(g.n, g.d, nb)
-    try embedStages(g, cfg, nb)
-    finally sc.setJobDescription(null)
+            nb: Some[Int])(implicit spark: SparkSession): Embeddings = {
+    cfg.requireK(g.n, g.d, nb.value)
+    try embedStages(g, cfg, nb.value)
+    finally spark.sparkContext.setJobDescription(null)
   }
 
   private def embedStages(g: AttributedGraph, cfg: PaneConfig, nb: Int)
@@ -164,24 +145,23 @@ object SparkPane extends Serializable {
 
     sc.setJobDescription("papmi")
     val aff = papmi(g, cfg.alpha, cfg.t, nb, spark).persist(StorageLevel.MEMORY_AND_DISK)
-    var (state, y) = try {
+    val (blocks, y0) = try {
       aff.count()
       sc.setJobDescription("sm-greedy-init")
       smGreedyInit(aff, cfg.k, cfg.t, cfg.seed)
     } finally aff.unpersist()
 
+    val sweeps = cfg.refineIters
+    var y = y0
     val xs = try {
       var it = 0
-      while (it < cfg.refineIters) {
+      while (it < sweeps) {
         sc.setJobDescription(s"ccd sweep $it")
-        val (next, nextY) = sweep(state, y)
-        state = next
-        y = nextY
+        y = sweep(blocks, it, y)
         it += 1
       }
-      val sweeps = state.sweeps
-      state.map { case (bi, blk) => blk.requireAt(bi, sweeps); (bi, (blk.xf, blk.xb)) }.collect()
-    } finally state.unpersist()
+      blocks.map { case (bi, blk) => blk.requireAt(bi, sweeps); (bi, (blk.xf, blk.xb)) }.collect()
+    } finally blocks.unpersist()
     val xf = DenseMatrix.zeros(g.n, half)
     val xb = DenseMatrix.zeros(g.n, half)
     val nodeBlocks = ParallelPane.ranges(g.n, nb)
@@ -198,7 +178,7 @@ object SparkPane extends Serializable {
     * materialized CCD blocks (block i in partition i, before sweep 0) and Y.
     */
   private[spark] def smGreedyInit(aff: RDD[(Int, AffBlock)], k: Int, svdIters: Int,
-                                  seed: Long): (CcdBlocks, DenseMatrix) = {
+                                  seed: Long): (RDD[(Int, CcdBlock)], DenseMatrix) = {
     val sc = aff.sparkContext
     val half = k / 2
     val split = aff.mapPartitions(_.map { case (bi, a) =>
@@ -209,31 +189,30 @@ object SparkPane extends Serializable {
       val (w, y) = ParallelPane.mergeSvd(vts.toSeq, half, svdIters, seed)
       val bcW = sc.broadcast(w)
       val bcY = sc.broadcast(y)
-      val blocks = new CcdBlocks(split.mapPartitions(_.map { case (bi, (a, (ui, _))) =>
+      val blocks = split.mapPartitions(_.map { case (bi, (a, (ui, _))) =>
         val rows = a.f.rows
         val st = SvdCcd.State(DenseMatrix.zeros(rows, half), DenseMatrix.zeros(rows, half), bcY.value, a.f, a.b)
         ParallelPane.initBlock(st, 0, rows, ui, bcW.value, bi)
         (bi, new CcdBlock(st.xf, st.xb, a.f, a.b))
-      }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK), 0)
+      }, preservesPartitioning = true).persist(StorageLevel.MEMORY_AND_DISK)
       // Materialize before unpersisting the parent.
       try blocks.count() catch { case e: Throwable => blocks.unpersist(); throw e }
       (blocks, y)
     } finally split.unpersist()
   }
 
-  /** One PSVDCCD sweep (Alg 8) in one job: per block, in place, run the
-    * X-phase and fill the Y-phase accumulator; then, on the driver, sum the
-    * accumulators in block-id order and replay the Y-phase. Returns the
-    * blocks' view after this sweep (`state` no longer matches them: a
-    * second sweep on it fails) and the new Y.
+  /** PSVDCCD sweep number `it` (Alg 8) in one job: per block, in place,
+    * run the X-phase and fill the Y-phase accumulator; then, on the driver,
+    * sum the accumulators in block-id order and replay the Y-phase. Every
+    * block must be at rest after `it` sweeps, so repeating a sweep fails.
+    * Returns the new Y.
     */
-  private[spark] def sweep(state: CcdBlocks, y: DenseMatrix): (CcdBlocks, DenseMatrix) = {
-    val sc = state.sparkContext
+  private[spark] def sweep(blocks: RDD[(Int, CcdBlock)], it: Int, y: DenseMatrix): DenseMatrix = {
+    val sc = blocks.sparkContext
     val half = y.cols
     val d = y.rows
     val bcY = sc.broadcast(y)
-    val it = state.sweeps
-    val accs = state.map { case (bi, blk) =>
+    val accs = blocks.map { case (bi, blk) =>
       val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
       blk.sweep(bi, it, bcY.value) { st =>
         val rows = st.xf.rows
@@ -253,6 +232,6 @@ object SparkPane extends Serializable {
     }
     val newY = y.copy
     SvdCcd.attrUpdate(newY, agg, 0, d)
-    (state.next, newY)
+    newY
   }
 }

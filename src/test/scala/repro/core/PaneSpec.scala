@@ -14,7 +14,6 @@ class PaneSpec extends AnyFunSuite {
     assert(PaneConfig(alpha = 0.5, eps = 0.015).t == 6)
     assert(PaneConfig(alpha = 0.5, eps = 0.25).t == 1)
     assert(PaneConfig(alpha = 0.5, eps = 0.015).refineIters == 6)
-    assert(PaneConfig(alpha = 0.5, eps = 0.015, ccdIters = Some(3)).refineIters == 3)
   }
 
   test("embed rejects a bad k before any work starts, naming k, n, d and nb") {
@@ -23,25 +22,20 @@ class PaneSpec extends AnyFunSuite {
       val msg = intercept[IllegalArgumentException](Pane.embed(tiny, PaneConfig(k = kBad))).getMessage
       for (part <- Seq(s"k = $kBad", "n = 120", "d = 24", "nb = 1")) assert(msg.contains(part), msg)
     }
-    val msg = intercept[IllegalArgumentException](Pane.embedRandomInit(tiny, PaneConfig(k = 50))).getMessage
-    for (part <- Seq("k = 50", "n = 120", "d = 24", "nb = 1")) assert(msg.contains(part), msg)
     PaneConfig(k = 48).requireK(120, 24, 1) // k = 2·min(n, d) fits
   }
 
   test("embed is Apmi.run, greedyInit with t iterations, then refineIters full sweeps") {
-    // ccdIters = Some(2) pins the RandSVD iteration count to t, not to the sweep count.
-    for (c <- Seq(cfg, cfg.copy(ccdIters = Some(2)))) {
-      val aff = Apmi.run(g, c.alpha, c.t)
-      val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, c.k, c.t, c.seed)
-      for (_ <- 0 until c.refineIters) {
-        SvdCcd.nodeSweep(st, 0, g.n)
-        SvdCcd.attrSweep(st, 0, g.d)
-      }
-      val e = Pane.embed(g, c)
-      assert((e.xf - st.xf).maxAbs == 0.0, s"Xf at ${c.ccdIters}")
-      assert((e.xb - st.xb).maxAbs == 0.0, s"Xb at ${c.ccdIters}")
-      assert((e.y - st.y).maxAbs == 0.0, s"Y at ${c.ccdIters}")
+    val aff = Apmi.run(g, cfg.alpha, cfg.t)
+    val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, cfg.k, cfg.t, cfg.seed)
+    for (_ <- 0 until cfg.t) {
+      SvdCcd.nodeSweep(st, 0, g.n)
+      SvdCcd.attrSweep(st, 0, g.d)
     }
+    val e = Pane.embed(g, cfg)
+    assert((e.xf - st.xf).maxAbs == 0.0)
+    assert((e.xb - st.xb).maxAbs == 0.0)
+    assert((e.y - st.y).maxAbs == 0.0)
   }
 
   test("embed returns finite embeddings of the requested budget") {
@@ -113,9 +107,13 @@ class PaneSpec extends AnyFunSuite {
     assert(og < or, s"GreedyInit ($og) should beat random init ($or) at $iters CCD iterations")
   }
 
-  test("embedRandomInit (PANE-R) runs and is eventually competitive with many iterations") {
-    val e = Pane.embedRandomInit(Fixtures.tiny, PaneConfig(k = 8, ccdIters = Some(20)))
+  test("PANE-R: randomInit then 20 sweeps stays finite and lowers the objective") {
+    val aff = Apmi.run(Fixtures.tiny, cfg.alpha, cfg.t)
+    val st = SvdCcd.randomInit(aff.fPrime, aff.bPrime, k = 8, seed = cfg.seed)
+    val before = SvdCcd.objective(aff.fPrime, aff.bPrime, Embeddings(st.xf.copy, st.xb.copy, st.y.copy))
+    val e = ParallelPane.psvdccd(st, 20, 1)
     assert(e.xf.data.forall(java.lang.Double.isFinite))
+    assert(SvdCcd.objective(aff.fPrime, aff.bPrime, e) < before)
   }
 
   test("deterministic in the seed") {

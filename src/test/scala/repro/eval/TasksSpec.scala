@@ -34,6 +34,31 @@ class TasksSpec extends AnyFunSuite {
     }
   }
 
+  test("attribute split fails before sampling when no (node, attribute) pair is absent") {
+    val full = AttributedGraph(2, 2, src = Array(0), dst = Array(1),
+      attrNode = Array(0, 0, 1, 1), attrId = Array(0, 1, 0, 1), attrW = Array(1.0, 1.0, 1.0, 1.0),
+      labels = Array.fill(2)(Array(0)), directed = true)
+    val msg = intercept[IllegalArgumentException](Tasks.attributeInference(full, trainRatio = 0.5)).getMessage
+    for (part <- Seq("cannot sample 2 negative", "n = 2", "d = 2", "4 distinct")) assert(msg.contains(part), msg)
+  }
+
+  test("link split fails before sampling when every pair of distinct nodes is an edge") {
+    val pairs = for (u <- 0 until 3; v <- 0 until 3 if u != v) yield (u, v)
+    def complete(directed: Boolean) = AttributedGraph(3, 1, src = pairs.map(_._1).toArray, dst = pairs.map(_._2).toArray,
+      attrNode = Array(0), attrId = Array(0), attrW = Array(1.0), labels = Array.fill(3)(Array(0)), directed = directed)
+    // One removed edge either way: 6 directed edges at 0.3, 3 undirected pairs at 0.5.
+    for ((directed, ratio) <- Seq((true, 0.3), (false, 0.5))) {
+      val msg = intercept[IllegalArgumentException](Tasks.linkPrediction(complete(directed), ratio)).getMessage
+      for (part <- Seq("cannot sample 1 negative", "n = 3", "m = 6", "6 distinct")) assert(msg.contains(part), msg)
+    }
+    // Self-loops are no candidates: 5 of the 6 pairs plus 3 self-loops leave the non-edge 0 → 1.
+    val loops = AttributedGraph(3, 1, src = pairs.tail.map(_._1).toArray ++ Array(0, 1, 2),
+      dst = pairs.tail.map(_._2).toArray ++ Array(0, 1, 2),
+      attrNode = Array(0), attrId = Array(0), attrW = Array(1.0), labels = Array.fill(3)(Array(0)), directed = true)
+    val (_, sampled) = Tasks.linkPrediction(loops, removeRatio = 0.3)
+    assert(sampled.filterNot(_.positive).map(p => (p.i, p.j)).toSeq == Seq((0, 1), (0, 1)))
+  }
+
   test("attribute split preserves the graph edges untouched") {
     val (gTrain, _) = Tasks.attributeInference(g, seed = 4L)
     assert(gTrain.m == g.m)

@@ -46,7 +46,7 @@ class AttributedGraphSpec extends AnyFunSuite {
     }
   }
 
-  test("out-of-range ids and non-finite weights fail loudly at construction") {
+  test("out-of-range ids and non-finite or negative weights fail loudly") {
     def graph(src: Int = 0, dst: Int = 1, attrNode: Int = 0, attrId: Int = 0, w: Double = 1.0) =
       AttributedGraph(3, 1,
         src = Array(1, src), dst = Array(2, dst),
@@ -59,6 +59,7 @@ class AttributedGraphSpec extends AnyFunSuite {
     assert(message(graph(attrId = 1)).contains("attribute entry 0: attribute 1 out of range [0,1)"))
     assert(message(graph(w = Double.NaN)).contains("attribute entry 0: weight NaN is not finite"))
     assert(message(graph(w = Double.PositiveInfinity)).contains("weight Infinity is not finite"))
+    assert(message(graph(w = -1.0)).contains("attribute entry 0: weight -1.0 is negative"))
     assert(message(g.withEdges(Array(0), Array(6))).contains("dst 6 out of range [0,6)"))
   }
 
@@ -136,6 +137,7 @@ class AttributedGraphSpec extends AnyFunSuite {
         assert(graph.edgeSet.contains(key) == edges.contains(key), s"edge key $key, n = ${graph.n}")
       for (key <- -1L to graph.n.toLong * graph.d)
         assert(graph.attrEntrySet.contains(key) == entries.contains(key), s"entry key $key, n = ${graph.n}")
+      assert(graph.edgeSet.distinct == edges.size && graph.attrEntrySet.distinct == entries.size)
     }
   }
 

@@ -1,9 +1,26 @@
 package repro.linalg
 
-/** Reductions over a [[DenseMatrix]] that only the tests use. */
+/** Operations on a [[DenseMatrix]] that only the tests use. */
 object DenseMatrixOps {
 
   implicit final class Reductions(private val m: DenseMatrix) extends AnyVal {
+
+    def +(b: DenseMatrix): DenseMatrix = m.zipWith(b, _ + _)
+
+    /** Row sums, length `rows`. */
+    def rowSums: Array[Double] = {
+      val s = new Array[Double](m.rows)
+      var i = 0
+      while (i < m.rows) {
+        val off = i * m.cols
+        var j = 0
+        var acc = 0.0
+        while (j < m.cols) { acc += m.data(off + j); j += 1 }
+        s(i) = acc
+        i += 1
+      }
+      s
+    }
 
     /** Largest absolute entry — handy in approximation tests. */
     def maxAbs: Double = {

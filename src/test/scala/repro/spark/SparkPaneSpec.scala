@@ -43,12 +43,17 @@ class SparkPaneSpec extends SparkSpec {
   private def collectAffinity(aff: RDD[(Int, SparkPane.AffBlock)], n: Int, d: Int): (DenseMatrix, DenseMatrix) = {
     val f = DenseMatrix.zeros(n, d)
     val b = DenseMatrix.zeros(n, d)
-    aff.collect().foreach { case (_, a) =>
-      System.arraycopy(a.f.data, 0, f.data, a.from * d, a.f.data.length)
-      System.arraycopy(a.b.data, 0, b.data, a.from * d, a.b.data.length)
+    val nodeBlocks = ParallelPane.ranges(n, aff.getNumPartitions)
+    aff.collect().foreach { case (bi, a) =>
+      System.arraycopy(a.f.data, 0, f.data, nodeBlocks(bi)._1 * d, a.f.data.length)
+      System.arraycopy(a.b.data, 0, b.data, nodeBlocks(bi)._1 * d, a.b.data.length)
     }
     (f, b)
   }
+
+  /** (block id, rows of F', rows of B') of every block, by block id. */
+  private def blockRows(aff: RDD[(Int, SparkPane.AffBlock)]): Seq[(Int, Int, Int)] =
+    aff.map { case (bi, a) => (bi, a.f.rows, a.b.rows) }.collect().toSeq.sortBy(_._1)
 
   /** (partition index, block ids it holds), in partition order. */
   private def placement[A](rdd: RDD[(Int, A)]): Seq[(Int, List[Int])] =
@@ -66,8 +71,8 @@ class SparkPaneSpec extends SparkSpec {
   test("distributed PAPMI covers all n nodes including attribute-poor ones") {
     val gd = Fixtures.figure1NoAttrs
     val aff = SparkPane.papmi(gd, 0.15, 10, nb = 2, spark)
-    val tiles = aff.values.map(a => (a.from, a.from + a.f.rows, a.b.rows)).collect().toSeq.sortBy(_._1)
-    assert(tiles == ParallelPane.ranges(gd.n, 2).map { case (from, until) => (from, until, until - from) })
+    val rows = ParallelPane.ranges(gd.n, 2).map { case (from, until) => until - from }
+    assert(blockRows(aff) == rows.zipWithIndex.map { case (r, bi) => (bi, r, r) })
   }
 
   test("partition i holds exactly node block i after PAPMI and after a sweep") {
@@ -75,14 +80,14 @@ class SparkPaneSpec extends SparkSpec {
       val expected = (0 until nb).map(i => (i, List(i)))
       val aff = SparkPane.papmi(g, alpha, t, nb, spark).cache()
       assert(placement(aff) == expected, s"PAPMI blocks at nb=$nb")
-      val rows = aff.mapValues(a => (a.from, a.from + a.f.rows)).collect().toSeq.sortBy(_._1).map(_._2)
-      assert(rows == ParallelPane.ranges(g.n, nb), s"block rows at nb=$nb")
-      val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+      val rows = ParallelPane.ranges(g.n, nb).map { case (from, until) => until - from }
+      assert(blockRows(aff) == rows.zipWithIndex.map { case (r, bi) => (bi, r, r) }, s"block rows at nb=$nb")
+      val (blocks, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
       aff.unpersist()
-      assert(placement(state) == expected, s"SMGreedyInit blocks at nb=$nb")
-      val (next, _) = SparkPane.sweep(state, y)
-      assert(placement(next) == expected, s"sweep blocks at nb=$nb")
-      next.unpersist()
+      assert(placement(blocks) == expected, s"SMGreedyInit blocks at nb=$nb")
+      SparkPane.sweep(blocks, 0, y)
+      assert(placement(blocks) == expected, s"sweep blocks at nb=$nb")
+      blocks.unpersist()
     }
   }
 
@@ -99,30 +104,29 @@ class SparkPaneSpec extends SparkSpec {
   test("a second sweep on the same cached blocks fails naming the block and the sweep, and changes nothing") {
     val nb = 2
     val aff = SparkPane.papmi(g, alpha, t, nb, spark)
-    val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
-    val (next, y1) = SparkPane.sweep(state, y)
-    val msg = failureMessages(SparkPane.sweep(state, y))
+    val (blocks, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+    val y1 = SparkPane.sweep(blocks, 0, y)
+    val msg = failureMessages(SparkPane.sweep(blocks, 0, y))
     assert("CCD block [01]: sweep 0 found the block after 1 sweeps".r.findFirstIn(msg).nonEmpty, msg)
-    val (after, _) = SparkPane.sweep(next, y1)
-    val msg2 = failureMessages(SparkPane.sweep(next, y1))
+    SparkPane.sweep(blocks, 1, y1)
+    val msg2 = failureMessages(SparkPane.sweep(blocks, 1, y1))
     assert("CCD block [01]: sweep 1 found the block after 2 sweeps".r.findFirstIn(msg2).nonEmpty, msg2)
-    val guarded = xfBlocks(after)
-    after.unpersist()
+    val guarded = xfBlocks(blocks)
+    blocks.unpersist()
 
     // The same two sweeps without the refused ones: the failures touched nothing.
-    val (clean0, cy) = SparkPane.smGreedyInit(SparkPane.papmi(g, alpha, t, nb, spark), k, 2, 42L)
-    val (clean1, cy1) = SparkPane.sweep(clean0, cy)
-    val (clean2, _) = SparkPane.sweep(clean1, cy1)
-    assert(xfBlocks(clean2) == guarded)
-    clean2.unpersist()
+    val (clean, cy) = SparkPane.smGreedyInit(SparkPane.papmi(g, alpha, t, nb, spark), k, 2, 42L)
+    SparkPane.sweep(clean, 1, SparkPane.sweep(clean, 0, cy))
+    assert(xfBlocks(clean) == guarded)
+    clean.unpersist()
   }
 
   test("SMGreedyInit and a sweep leave the PAPMI blocks' F' and B' as they were") {
     val before = spark.sparkContext.getPersistentRDDs.keySet
     val aff = SparkPane.papmi(g, alpha, t, 2, spark).cache()
     val (f0, b0) = collectAffinity(aff, g.n, g.d)
-    val (state, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
-    val (next, _) = SparkPane.sweep(state, y)
+    val (blocks, y) = SparkPane.smGreedyInit(aff, k, 2, 42L)
+    SparkPane.sweep(blocks, 0, y)
     val (f1, b1) = collectAffinity(aff, g.n, g.d)
     assert(java.util.Arrays.equals(f0.data, f1.data) && java.util.Arrays.equals(b0.data, b1.data))
     // A second init on the same blocks reads the same F' and B'.
@@ -130,7 +134,7 @@ class SparkPaneSpec extends SparkSpec {
     assert(java.util.Arrays.equals(y.data, y2.data))
     val (fresh, _) = SparkPane.smGreedyInit(SparkPane.papmi(g, alpha, t, 2, spark), k, 2, 42L)
     assert(xfBlocks(again) == xfBlocks(fresh))
-    for (r <- Seq(next, again, fresh)) r.unpersist()
+    for (r <- Seq(blocks, again, fresh)) r.unpersist()
     aff.unpersist()
     assert(spark.sparkContext.getPersistentRDDs.keySet == before)
   }
@@ -163,10 +167,6 @@ class SparkPaneSpec extends SparkSpec {
 
   test("distributed embed matches the thread-pool ParallelPane closely") {
     assertMatchesPool(PaneConfig(k = k, alpha = alpha, eps = 0.015))
-  }
-
-  test("with fewer sweeps than t, the pool and Spark still seed RandSVD with t iterations") {
-    assertMatchesPool(PaneConfig(k = k, alpha = alpha, eps = 0.015, ccdIters = Some(2)))
   }
 
   test("distributed embed quality: attribute inference on par with single-thread") {
