@@ -6,9 +6,10 @@ import repro.core.SvdCcdSpec._
 import repro.graph.Datasets
 
 /** Warm rates of the CCD kernels at k = 64 on the state GreedyInit leaves:
-  * `nodeSweep` (the X-phase: F'·Y, X·H and the coordinate loop) and
-  * `attrGramRows` with `gramRows` (the Y-phase accumulation XᵀF', XᵀX),
-  * each over all n rows and d columns, staged against their flat oracles.
+  * `nodeSweep` (the X-phase: F'·Y, X·H and the coordinate loop),
+  * `attrGramRows` (the Y-phase accumulation XᵀF') and `attrGramRows` on X
+  * (the Gramian H = XᵀX, as `SvdCcd.gramian` forms it), each over all n
+  * rows, staged against their flat oracles.
   * Prints the median of 9 runs after 3 warm-up runs, in seconds and GFMA/s
   * (fused multiply-adds of the kernel's inner loops, 1e9 per second). The
   * only assertion is that every staged kernel equals its flat oracle bit
@@ -45,17 +46,20 @@ class CcdKernelBench extends AnyFunSuite {
     val aff = Apmi.run(g, cfg.alpha, cfg.t)
     val init = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, cfg.k, cfg.t, cfg.seed)
     val (n, d, half) = (g.n, g.d, cfg.k / 2)
-    val accSize = SvdCcd.attrGramSize(half, d)
     def yAcc(st: SvdCcd.State): Array[Double] = {
-      val acc = new Array[Double](accSize)
-      SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, 0, d, n, half, d, acc)
-      SvdCcd.gramRows(st.xf.data, st.xb.data, n, half, 0, half, acc, 2 * half * d)
-      acc
+      val g = new Array[Double](2 * half * d)
+      SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, 0, d, n, half, d, g)
+      g
     }
     def flatYAcc(st: SvdCcd.State): Array[Double] = {
-      val acc = new Array[Double](accSize)
-      flatAttrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, 0, d, n, half, d, acc)
-      acc
+      val g = new Array[Double](2 * half * d)
+      flatAttrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, 0, d, n, half, d, g)
+      g
+    }
+    def flatGram(st: SvdCcd.State): Array[Double] = {
+      val h = new Array[Double](2 * half * half)
+      flatGramRows(st.xf.data, st.xb.data, n, half, h)
+      h
     }
 
     // Bit-equality with the flat oracles, on copies of the init state.
@@ -63,6 +67,7 @@ class CcdKernelBench extends AnyFunSuite {
     SvdCcd.nodeSweep(s1, 0, n); flatNodeSweep(s2, 0, n)
     assert(sameState(s1, s2), "nodeSweep")
     assert(java.util.Arrays.equals(yAcc(s1), flatYAcc(s2)), "attrGramRows")
+    assert(java.util.Arrays.equals(SvdCcd.gramian(s1), flatGram(s2)), "attrGramRows on X")
 
     // Timed on one state each; the sweeps keep converging, which changes no
     // loop bound.
@@ -71,7 +76,8 @@ class CcdKernelBench extends AnyFunSuite {
     val rows = Seq(
       ("nodeSweep", 2.0 * n * half * (d + half),
         median(SvdCcd.nodeSweep(st, 0, n)), median(flatNodeSweep(fl, 0, n))),
-      ("attrGramRows", 2.0 * n * half * (d + half), median(yAcc(st)), median(flatYAcc(fl))))
+      ("attrGramRows", 2.0 * n * half * d, median(yAcc(st)), median(flatYAcc(fl))),
+      ("gramian", 2.0 * n * half * half, median(SvdCcd.gramian(st)), median(flatGram(fl))))
     println(f"=== CCD kernels on ${ds.name} (n $n, d $d, k ${cfg.k}; median of $runs after $warmups warm-up runs) ===")
     for ((name, fma, staged, flat) <- rows)
       println(f"$name%-13s staged $staged%8.4f s ${fma / staged / 1e9}%5.2f GFMA/s   flat $flat%8.4f s ${fma / flat / 1e9}%5.2f GFMA/s")

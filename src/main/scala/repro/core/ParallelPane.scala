@@ -18,8 +18,9 @@ import repro.linalg.{DenseMatrix, SparseMatrix}
   *  - PSVDCCD (Alg 8): CCD sweeps run per node block (X phase) and per
   *    attribute block (Y phase). Both phases are exactly parallel: row
   *    updates touch disjoint rows of Xf/Xb, and with Xf, Xb fixed a
-  *    Y[rj,·] update reads only X, F', B' and Y[rj,·]. Hf = XfᵀXf and
-  *    Hb = XbᵀXb are formed once per sweep, split by their rows.
+  *    Y[rj,·] update reads only X, F', B' and Y[rj,·]. H = XᵀX is formed
+  *    once per sweep, by the Y-phase kernel on X, and shared by the
+  *    attribute blocks.
   */
 object ParallelPane {
 
@@ -153,28 +154,22 @@ object ParallelPane {
 
   /** Algorithm 8 — PSVDCCD: `iters` CCD sweeps on the initialized state
     * `st`, in place, each an X-phase over the node blocks of
-    * `ranges(n, nb)` then a Y-phase: Hf and Hb once, over the row blocks
-    * `ranges(k/2, nb)` of H ([[SvdCcd.gramRows]]), then the attribute
-    * blocks of `ranges(d, nb)`, which share them. Every nb gives the same
-    * result bit for bit; nb = 1 is Algorithm 4's sequential loop.
+    * `ranges(n, nb)` then a Y-phase: H = XᵀX once ([[SvdCcd.gramian]]),
+    * then the attribute blocks of `ranges(d, nb)`, which share it. Every nb
+    * gives the same result bit for bit; nb = 1 is Algorithm 4's sequential
+    * loop.
     */
   def psvdccd(st: SvdCcd.State, iters: Int, nb: Int): Embeddings =
     withRunner(nb)(psvdccd(st, iters, _))
 
   private def psvdccd(st: SvdCcd.State, iters: Int, run: Runner): Embeddings = {
-    val n = st.xf.rows
-    val half = st.y.cols
-    val nodeBlocks = ranges(n, run.nb)
-    val gramBlocks = ranges(half, run.nb)
+    val nodeBlocks = ranges(st.xf.rows, run.nb)
     val attrBlocks = ranges(st.y.rows, run.nb)
     var it = 0
     while (it < iters) {
       run.runAll(nodeBlocks.map { case (from, until) => () => SvdCcd.nodeSweep(st, from, until) })
-      val gram = new Array[Double](2 * half * half)
-      run.runAll(gramBlocks.map { case (lFrom, lUntil) =>
-        () => SvdCcd.gramRows(st.xf.data, st.xb.data, n, half, lFrom, lUntil, gram, 0)
-      })
-      run.runAll(attrBlocks.map { case (from, until) => () => SvdCcd.attrSweep(st, from, until, gram) })
+      val h = SvdCcd.gramian(st)
+      run.runAll(attrBlocks.map { case (from, until) => () => SvdCcd.attrSweep(st, from, until, h) })
       it += 1
     }
     Embeddings(st.xf, st.xb, st.y)

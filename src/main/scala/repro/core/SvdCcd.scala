@@ -214,48 +214,46 @@ object SvdCcd extends Serializable {
     Array.tabulate(half)(l => java.util.Arrays.copyOfRange(a, off + l * w, off + (l + 1) * w))
 
   /** Y-phase (Lines 10–14 of Algorithm 4) for attributes [attrFrom, attrUntil),
-    * by Gramian replay (DESIGN.md §2): Hf = XfᵀXf and Hb = XbᵀXb over all
-    * node rows ([[gramRows]]), then the Y-phase given them (the overload
-    * below). Mutates Y in place.
+    * by Gramian replay (DESIGN.md §2): H = XᵀX over all node rows
+    * ([[gramian]]), then the Y-phase given it (the overload below). Mutates
+    * Y in place.
     */
-  def attrSweep(st: State, attrFrom: Int, attrUntil: Int): Unit = {
-    val half = st.y.cols
-    val gram = new Array[Double](2 * half * half)
-    gramRows(st.xf.data, st.xb.data, st.xf.rows, half, 0, half, gram, 0)
-    attrSweep(st, attrFrom, attrUntil, gram)
-  }
+  def attrSweep(st: State, attrFrom: Int, attrUntil: Int): Unit =
+    attrSweep(st, attrFrom, attrUntil, gramian(st))
 
-  /** The Y-phase for attributes [attrFrom, attrUntil) given `gram`, Hf then
-    * Hb of the state's X (k/2 × k/2 each, row-major, as [[gramRows]] fills
-    * them). Two steps:
-    *  1. accumulate XfᵀF'[:,range] and XbᵀB'[:,range] ([[attrGramRows]]);
+  /** The Y-phase for attributes [attrFrom, attrUntil) given `h`, Hf then Hb
+    * of the state's X (as [[gramian]] fills them). Two steps:
+    *  1. accumulate G = XfᵀF'[:,range] and XbᵀB'[:,range] ([[attrGramRows]]);
     *  2. form G = H·Yᵀ − XᵀF' and replay the sequential coordinate updates
     *     on it ([[attrUpdate]]).
-    * Scratch is O(k·w + k²) for w = attrUntil − attrFrom.
+    * Scratch is O(k·w) for w = attrUntil − attrFrom.
     *
     * Safe to run concurrently for disjoint attribute ranges, and each
     * column's result is bit-identical however the range is split: with Xf,
     * Xb fixed, the update of Y[rj,·] reads only X, F', B' and Y[rj,·].
     */
-  def attrSweep(st: State, attrFrom: Int, attrUntil: Int, gram: Array[Double]): Unit = {
+  def attrSweep(st: State, attrFrom: Int, attrUntil: Int, h: Array[Double]): Unit = {
     val half = st.y.cols
-    val n = st.xf.rows
-    val d = st.y.rows
     val w = attrUntil - attrFrom
-    val acc = new Array[Double](attrGramSize(half, w))
-    attrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, attrFrom, d, n, half, w, acc)
-    System.arraycopy(gram, 0, acc, 2 * half * w, 2 * half * half)
-    attrUpdate(st.y, acc, attrFrom, w)
+    val g = new Array[Double](2 * half * w)
+    attrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, attrFrom, st.y.rows, st.xf.rows, half, w, g)
+    attrUpdate(st.y, g, h, attrFrom, w)
   }
 
-  /** Length of the Y-phase accumulator for a w-column range: Gf then Gb
-    * (k/2 × w each, l-major: G[l, c] at l·w + c), then Hf then Hb
-    * (k/2 × k/2 each, row-major).
+  /** H = XᵀX over all of the state's node rows: Hf = XfᵀXf then
+    * Hb = XbᵀXb, k/2 × k/2 each, row-major. It is [[attrGramRows]] with X in
+    * place of F' and B' (w = k/2), whose G layout at that width is exactly
+    * this one.
     */
-  def attrGramSize(half: Int, w: Int): Int = 2 * half * w + 2 * half * half
+  def gramian(st: State): Array[Double] = {
+    val half = st.y.cols
+    val h = new Array[Double](2 * half * half)
+    attrGramRows(st.xf.data, st.xb.data, st.xf.data, st.xb.data, 0, half, st.xf.rows, half, half, h)
+    h
+  }
 
-  /** Adds `rows` consecutive node rows to the G part of the Y-phase
-    * accumulator: XfᵀF' and XbᵀB' on w columns, X rows at r·k/2, the w
+  /** Adds `rows` consecutive node rows to G = XfᵀF' then XbᵀB' on w columns
+    * (k/2 × w each, l-major: G[l, c] at l·w + c), X rows at r·k/2, the w
     * entries of row r of F' (B') at fOff + r·fStride. The G rows are held as
     * row arrays while they accumulate and each group of four F' and B' rows
     * is staged in scratch rows, so the loops read every array at the same
@@ -263,14 +261,14 @@ object SvdCcd extends Serializable {
     * stored once per four rows. Every inner loop updates one output array
     * (Gf[l], then Gb[l]): C2 runs a one-output loop over twice as fast as
     * the same terms updating two outputs per iteration (DESIGN.md §2). G is
-    * written back to `acc` at the end, in the [[attrGramSize]] layout.
+    * written back to `g` at the end.
     */
   def attrGramRows(xf: Array[Double], xb: Array[Double],
                    f: Array[Double], b: Array[Double], fOff: Int, fStride: Int,
-                   rows: Int, half: Int, w: Int, acc: Array[Double]): Unit = {
+                   rows: Int, half: Int, w: Int, g: Array[Double]): Unit = {
     val gSize = half * w
-    val gf = lRows(acc, 0, half, w)
-    val gb = lRows(acc, gSize, half, w)
+    val gf = lRows(g, 0, half, w)
+    val gb = lRows(g, gSize, half, w)
     val f0r, f1r, f2r, f3r, b0r, b1r, b2r, b3r = new Array[Double](w)
     var r = 0
     while (r + 4 <= rows) {
@@ -318,87 +316,31 @@ object SvdCcd extends Serializable {
     }
     var l = 0
     while (l < half) {
-      System.arraycopy(gf(l), 0, acc, l * w, w)
-      System.arraycopy(gb(l), 0, acc, gSize + l * w, w)
+      System.arraycopy(gf(l), 0, g, l * w, w)
+      System.arraycopy(gb(l), 0, g, gSize + l * w, w)
       l += 1
     }
   }
 
-  /** Adds `rows` consecutive node rows (X rows at r·k/2) to rows
-    * [lFrom, lUntil) of Hf = XfᵀXf and Hb = XbᵀXb, held at `hOff` as Hf then
-    * Hb (k/2 × k/2 each, row-major). Four node rows per pass, then the
-    * remainder rows one by one; each inner loop updates one output row.
-    * Each entry's terms and their order do not depend on the l range, so
-    * disjoint ranges may run concurrently and give the full call's H bit
-    * for bit.
+  /** The Y-phase update of attributes [from, from + w) from G = XfᵀF' then
+    * XbᵀB' on those columns (layout of [[attrGramRows]]) and H (layout of
+    * [[gramian]]): forms G = H·Yᵀ − XᵀF' in place, which is XᵀS on those
+    * columns ([[attrGradient]]), then replays the coordinate updates on it
+    * ([[attrReplay]]). Mutates `y` and `g`.
     */
-  def gramRows(xf: Array[Double], xb: Array[Double], rows: Int, half: Int,
-               lFrom: Int, lUntil: Int, h: Array[Double], hOff: Int): Unit = {
-    val hbOff = hOff + half * half
-    var r = 0
-    while (r + 4 <= rows) {
-      val x0 = r * half
-      val x1 = x0 + half
-      val x2 = x1 + half
-      val x3 = x2 + half
-      var l = lFrom
-      while (l < lUntil) {
-        val f0 = xf(x0 + l); val f1 = xf(x1 + l); val f2 = xf(x2 + l); val f3 = xf(x3 + l)
-        val hfl = hOff + l * half
-        var l2 = 0
-        while (l2 < half) {
-          h(hfl + l2) += f0 * xf(x0 + l2) + f1 * xf(x1 + l2) + f2 * xf(x2 + l2) + f3 * xf(x3 + l2)
-          l2 += 1
-        }
-        val b0 = xb(x0 + l); val b1 = xb(x1 + l); val b2 = xb(x2 + l); val b3 = xb(x3 + l)
-        val hbl = hbOff + l * half
-        l2 = 0
-        while (l2 < half) {
-          h(hbl + l2) += b0 * xb(x0 + l2) + b1 * xb(x1 + l2) + b2 * xb(x2 + l2) + b3 * xb(x3 + l2)
-          l2 += 1
-        }
-        l += 1
-      }
-      r += 4
-    }
-    while (r < rows) {
-      val x0 = r * half
-      var l = lFrom
-      while (l < lUntil) {
-        val f0 = xf(x0 + l)
-        val hfl = hOff + l * half
-        var l2 = 0
-        while (l2 < half) { h(hfl + l2) += f0 * xf(x0 + l2); l2 += 1 }
-        val b0 = xb(x0 + l)
-        val hbl = hbOff + l * half
-        l2 = 0
-        while (l2 < half) { h(hbl + l2) += b0 * xb(x0 + l2); l2 += 1 }
-        l += 1
-      }
-      r += 1
-    }
-  }
-
-  /** The Y-phase update of attributes [from, from + w) from a filled
-    * accumulator (layout of [[attrGramSize]]) whose G part holds XfᵀF' and
-    * XbᵀB': forms G = H·Yᵀ − XᵀF' in place, which is XᵀS on those columns
-    * ([[attrGradient]]), then replays the coordinate updates on it
-    * ([[attrReplay]]). Mutates `y` and the G part of `acc`.
-    */
-  def attrUpdate(y: DenseMatrix, acc: Array[Double], from: Int, w: Int): Unit = {
-    attrGradient(y, acc, from, w)
-    attrReplay(y, acc, from, w)
+  def attrUpdate(y: DenseMatrix, g: Array[Double], h: Array[Double], from: Int, w: Int): Unit = {
+    attrGradient(y, g, h, from, w)
+    attrReplay(y, g, h, from, w)
   }
 
   /** G[l, c] = Σ_l2 H[l, l2]·Y[from + c, l2] − (XᵀF')[l, c] for Gf over Hf
     * and Gb over Hb, l2 in order: the Y-phase gradient XᵀS from the Gramian,
     * Y and the accumulated XᵀF'.
     */
-  private def attrGradient(y: DenseMatrix, acc: Array[Double], from: Int, w: Int): Unit = {
+  private def attrGradient(y: DenseMatrix, g: Array[Double], h: Array[Double], from: Int, w: Int): Unit = {
     val half = y.cols
     val gSize = half * w
-    val hfOff = 2 * gSize
-    val hbOff = hfOff + half * half
+    val hbOff = half * half
     val yd = y.data
     var l = 0
     while (l < half) {
@@ -409,12 +351,12 @@ object SvdCcd extends Serializable {
         var l2 = 0
         while (l2 < half) {
           val yv = yd(yOff + l2)
-          sf += acc(hfOff + l * half + l2) * yv
-          sb += acc(hbOff + l * half + l2) * yv
+          sf += h(l * half + l2) * yv
+          sb += h(hbOff + l * half + l2) * yv
           l2 += 1
         }
-        acc(l * w + c) = sf - acc(l * w + c)
-        acc(gSize + l * w + c) = sb - acc(gSize + l * w + c)
+        g(l * w + c) = sf - g(l * w + c)
+        g(gSize + l * w + c) = sb - g(gSize + l * w + c)
         c += 1
       }
       l += 1
@@ -422,29 +364,29 @@ object SvdCcd extends Serializable {
   }
 
   /** Exact replay of the sequential Y-phase on attributes [from, from + w)
-    * from an accumulator holding G = XᵀS and H (layout of [[attrGramSize]]):
-    * for each rj, then each l, μ = (Gf[l,rj] + Gb[l,rj]) / (Hf[l,l] + Hb[l,l])
-    * (Eq 20), Y[rj,l] −= μ, and G[·,rj] −= μ·H[·,l] carries the residual
-    * move of column rj. Mutates `y` and the G part of `acc`.
+    * from G = XᵀS (layout of [[attrGramRows]]) and H (layout of
+    * [[gramian]]): for each rj, then each l,
+    * μ = (Gf[l,rj] + Gb[l,rj]) / (Hf[l,l] + Hb[l,l]) (Eq 20), Y[rj,l] −= μ,
+    * and G[·,rj] −= μ·H[·,l] carries the residual move of column rj.
+    * Mutates `y` and `g`.
     */
-  def attrReplay(y: DenseMatrix, acc: Array[Double], from: Int, w: Int): Unit = {
+  def attrReplay(y: DenseMatrix, g: Array[Double], h: Array[Double], from: Int, w: Int): Unit = {
     val half = y.cols
     val gSize = half * w
-    val hfOff = 2 * gSize
-    val hbOff = 2 * gSize + half * half
+    val hbOff = half * half
     var c = 0
     while (c < w) {
       val rj = from + c
       var l = 0
       while (l < half) {
-        val denom = acc(hfOff + l * half + l) + acc(hbOff + l * half + l)
+        val denom = h(l * half + l) + h(hbOff + l * half + l)
         if (denom > 1e-300) {
-          val mu = (acc(l * w + c) + acc(gSize + l * w + c)) / denom
+          val mu = (g(l * w + c) + g(gSize + l * w + c)) / denom
           y(rj, l) = y(rj, l) - mu
           var l2 = 0
           while (l2 < half) {
-            acc(l2 * w + c) -= mu * acc(hfOff + l2 * half + l)
-            acc(gSize + l2 * w + c) -= mu * acc(hbOff + l2 * half + l)
+            g(l2 * w + c) -= mu * h(l2 * half + l)
+            g(gSize + l2 * w + c) -= mu * h(hbOff + l2 * half + l)
             l2 += 1
           }
         }

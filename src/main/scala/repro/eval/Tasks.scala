@@ -18,8 +18,9 @@ object Tasks {
   /** Attribute-inference split (§5.2): hold out `1 − trainRatio` of the
     * non-zero attribute entries as test positives; train on the rest;
     * negatives are uniformly sampled absent (node, attr) pairs of equal
-    * count (they may repeat). Fails before sampling if every pair is
-    * present.
+    * count (they may repeat). Fails before splitting if an entry is
+    * repeated (one copy could be held out while another trains), and
+    * before sampling if every pair is present.
     *
     * @return (training graph, test pairs)
     */
@@ -29,6 +30,8 @@ object Tasks {
     val size = g.numAttrEntries
     val nTrain = (size * trainRatio).toInt
     val distinct = g.attrEntrySet.distinct
+    require(distinct == size,
+      s"attribute split needs distinct (node, attribute) entries: $size entries, $distinct distinct keys")
     require(nTrain == size || distinct < g.n.toLong * g.d,
       s"cannot sample ${size - nTrain} negative (node, attribute) pairs: all n·d pairs of n = ${g.n} nodes " +
         s"and d = ${g.d} attributes are among the $distinct distinct attribute entries")
@@ -66,8 +69,10 @@ object Tasks {
   /** Link-prediction split (§5.3): remove `removeRatio` of the edges
     * (whole undirected pairs on undirected graphs), keep the residual
     * graph for training, and build a test set of the removed edges plus
-    * an equal number of non-edges (they may repeat). Fails before sampling
-    * if every pair of distinct nodes is an edge.
+    * an equal number of non-edges (they may repeat). Fails before splitting
+    * if a directed graph repeats an edge (one copy could be removed while
+    * another stays), and before sampling if every pair of distinct nodes is
+    * an edge.
     *
     * @return (residual graph, test pairs)
     */
@@ -76,6 +81,8 @@ object Tasks {
     require(removeRatio > 0 && removeRatio < 1, "removeRatio in (0,1)")
     val rnd = new Random(seed)
     if (g.directed) {
+      require(g.edgeSet.distinct == g.m,
+        s"directed link split needs distinct edges: ${g.m} edges, ${g.edgeSet.distinct} distinct keys")
       val nRemove = (g.m * removeRatio).toInt
       val selfLoops = (0 until g.n).count(i => g.edgeSet.contains(i.toLong * g.n + i))
       requireNonEdge(g, nRemove, g.edgeSet.distinct - selfLoops)

@@ -32,15 +32,15 @@ import repro.linalg.DenseMatrix
   *    [[CcdBlock]] keeps its [[AffBlock]]'s F' and B' as they are.
   *  - **PSVDCCD** (Alg 8): one job per sweep over the one cached copy of the
   *    CCD blocks. Each block is swept by [[SvdCcd.nodeSweep]] in place and
-  *    reduced to its Y-phase accumulator XfᵀF', XbᵀB'
-  *    ([[SvdCcd.attrGramRows]]), Hf = XfᵀXf, Hb = XbᵀXb
-  *    ([[SvdCcd.gramRows]]). The driver sums the accumulators in block
-  *    order, forms G = H·Yᵀ − XᵀF' and replays the coordinate updates
+  *    reduced to two arrays, G = XfᵀF', XbᵀB' ([[SvdCcd.attrGramRows]])
+  *    and H = XᵀX (the same kernel on X, [[SvdCcd.gramian]]). The driver
+  *    sums each array over the blocks in block order, forms
+  *    G = H·Yᵀ − XᵀF' and replays the coordinate updates
   *    ([[SvdCcd.attrUpdate]], DESIGN.md §2).
   *
   * So every stage holds one copy of the n·d state, F' and B', which the
-  * sweeps only read; per block, X is k/2 columns wide and the accumulator
-  * O(k·d). X is updated in place, so a [[CcdBlock]] that is not at rest
+  * sweeps only read; per block, X is k/2 columns wide, G is O(k·d) and H
+  * O(k²). X is updated in place, so a [[CcdBlock]] that is not at rest
   * after the sweeps the driver expects (a retried task, a block recomputed
   * from lineage) fails with an `IllegalStateException` naming the block and
   * the sweep, never runs a step twice.
@@ -50,7 +50,7 @@ import repro.linalg.DenseMatrix
   *
   * The X-phase of every block equals the pool's bit for bit; the result
   * matches the thread-pool ParallelPane up to the summation order of the
-  * Y-phase accumulators (tested to 1e-12 of its max-abs), and it is the same
+  * Y-phase sums (tested to 1e-12 of its max-abs), and it is the same
   * for every run with the same nb (tested bit for bit).
   */
 object SparkPane extends Serializable {
@@ -74,13 +74,16 @@ object SparkPane extends Serializable {
         s"CCD block $bi: sweep $it found the block " +
           (if (busy) s"part-way through sweep $sweeps" else s"after $sweeps sweeps"))
 
-    /** Runs sweep number `it` in place on the block with Y = `y`. */
-    def sweep(bi: Int, it: Int, y: DenseMatrix)(step: SvdCcd.State => Unit): Unit = {
+    /** Runs sweep number `it` in place on the block with Y = `y` and
+      * returns what `step` returns.
+      */
+    def sweep[A](bi: Int, it: Int, y: DenseMatrix)(step: SvdCcd.State => A): A = {
       requireAt(bi, it)
       busy = true
-      step(SvdCcd.State(xf, xb, y, f, b))
+      val out = step(SvdCcd.State(xf, xb, y, f, b))
       sweeps += 1
       busy = false
+      out
     }
   }
 
@@ -141,7 +144,6 @@ object SparkPane extends Serializable {
   private def embedStages(g: AttributedGraph, cfg: PaneConfig, nb: Int)
                          (implicit spark: SparkSession): Embeddings = {
     val sc = spark.sparkContext
-    val half = cfg.k / 2
 
     sc.setJobDescription("papmi")
     val aff = papmi(g, cfg.alpha, cfg.t, nb, spark).persist(StorageLevel.MEMORY_AND_DISK)
@@ -153,23 +155,18 @@ object SparkPane extends Serializable {
 
     val sweeps = cfg.refineIters
     var y = y0
-    val xs = try {
+    val (xfs, xbs) = try {
       var it = 0
       while (it < sweeps) {
         sc.setJobDescription(s"ccd sweep $it")
         y = sweep(blocks, it, y)
         it += 1
       }
-      blocks.map { case (bi, blk) => blk.requireAt(bi, sweeps); (bi, (blk.xf, blk.xb)) }.collect()
+      blocks.map { case (bi, blk) => blk.requireAt(bi, sweeps); (bi, (blk.xf, blk.xb)) }
+        .collect().sortBy(_._1).map(_._2).unzip
     } finally blocks.unpersist()
-    val xf = DenseMatrix.zeros(g.n, half)
-    val xb = DenseMatrix.zeros(g.n, half)
-    val nodeBlocks = ParallelPane.ranges(g.n, nb)
-    xs.foreach { case (bi, (xfB, xbB)) =>
-      System.arraycopy(xfB.data, 0, xf.data, nodeBlocks(bi)._1 * half, xfB.data.length)
-      System.arraycopy(xbB.data, 0, xb.data, nodeBlocks(bi)._1 * half, xbB.data.length)
-    }
-    Embeddings(xf, xb, y)
+    // Block i holds rows ranges(n, nb)(i), so the blocks in id order tile X.
+    Embeddings(DenseMatrix.vstack(xfs.toSeq), DenseMatrix.vstack(xbs.toSeq), y)
   }
 
   /** SMGreedyInit (Alg 7) on the blocks of `aff`: the per-block split SVDs
@@ -202,9 +199,9 @@ object SparkPane extends Serializable {
   }
 
   /** PSVDCCD sweep number `it` (Alg 8) in one job: per block, in place,
-    * run the X-phase and fill the Y-phase accumulator; then, on the driver,
-    * sum the accumulators in block-id order and replay the Y-phase. Every
-    * block must be at rest after `it` sweeps, so repeating a sweep fails.
+    * run the X-phase and form its G and H; then, on the driver, sum each
+    * over the blocks in block-id order and replay the Y-phase. Every block
+    * must be at rest after `it` sweeps, so repeating a sweep fails.
     * Returns the new Y.
     */
   private[spark] def sweep(blocks: RDD[(Int, CcdBlock)], it: Int, y: DenseMatrix): DenseMatrix = {
@@ -212,26 +209,28 @@ object SparkPane extends Serializable {
     val half = y.cols
     val d = y.rows
     val bcY = sc.broadcast(y)
-    val accs = blocks.map { case (bi, blk) =>
-      val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
-      blk.sweep(bi, it, bcY.value) { st =>
+    val parts = blocks.map { case (bi, blk) =>
+      (bi, blk.sweep(bi, it, bcY.value) { st =>
         val rows = st.xf.rows
         SvdCcd.nodeSweep(st, 0, rows)
-        SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, 0, d, rows, half, d, acc)
-        SvdCcd.gramRows(st.xf.data, st.xb.data, rows, half, 0, half, acc, 2 * half * d)
-      }
-      (bi, acc)
+        val g = new Array[Double](2 * half * d)
+        SvdCcd.attrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, 0, d, rows, half, d, g)
+        (g, SvdCcd.gramian(st))
+      })
     }.collect().sortBy(_._1).map(_._2)
 
     // Exact driver replay of the sequential Y phase (Alg 4 Lines 10-14),
     // the same kernel SvdCcd.attrSweep runs on a column range.
-    val agg = accs.head.clone()
-    accs.iterator.drop(1).foreach { a =>
-      var i = 0
-      while (i < agg.length) { agg(i) += a(i); i += 1 }
+    def sum(arrays: Array[Array[Double]]): Array[Double] = {
+      val agg = arrays.head.clone()
+      arrays.iterator.drop(1).foreach { a =>
+        var i = 0
+        while (i < agg.length) { agg(i) += a(i); i += 1 }
+      }
+      agg
     }
     val newY = y.copy
-    SvdCcd.attrUpdate(newY, agg, 0, d)
+    SvdCcd.attrUpdate(newY, sum(parts.map(_._1)), sum(parts.map(_._2)), 0, d)
     newY
   }
 }

@@ -167,22 +167,23 @@ class SvdCcdSpec extends AnyFunSuite {
       val (fOff, stride) = (1, w + 2)
       val (xf, xb) = (ints(rows * half), ints(rows * half))
       val (f, b) = (ints(fOff + rows * stride), ints(fOff + rows * stride))
-      val acc = new Array[Double](SvdCcd.attrGramSize(half, w))
-      SvdCcd.attrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, acc)
-      SvdCcd.gramRows(xf, xb, rows, half, 0, half, acc, 2 * half * w)
-      val naive = new Array[Double](acc.length)
       val (gSize, hSize) = (half * w, half * half)
+      val (g, h) = (new Array[Double](2 * gSize), new Array[Double](2 * hSize))
+      SvdCcd.attrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, g)
+      SvdCcd.attrGramRows(xf, xb, xf, xb, 0, half, rows, half, half, h)
+      val (naiveG, naiveH) = (new Array[Double](g.length), new Array[Double](h.length))
       for (r <- 0 until rows; l <- 0 until half) {
         for (c <- 0 until w) {
-          naive(l * w + c) += xf(r * half + l) * f(fOff + r * stride + c)
-          naive(gSize + l * w + c) += xb(r * half + l) * b(fOff + r * stride + c)
+          naiveG(l * w + c) += xf(r * half + l) * f(fOff + r * stride + c)
+          naiveG(gSize + l * w + c) += xb(r * half + l) * b(fOff + r * stride + c)
         }
         for (l2 <- 0 until half) {
-          naive(2 * gSize + l * half + l2) += xf(r * half + l) * xf(r * half + l2)
-          naive(2 * gSize + hSize + l * half + l2) += xb(r * half + l) * xb(r * half + l2)
+          naiveH(l * half + l2) += xf(r * half + l) * xf(r * half + l2)
+          naiveH(hSize + l * half + l2) += xb(r * half + l) * xb(r * half + l2)
         }
       }
-      assert(java.util.Arrays.equals(acc, naive), s"attrGramRows rows=$rows half=$half w=$w")
+      assert(java.util.Arrays.equals(g, naiveG), s"attrGramRows G rows=$rows half=$half w=$w")
+      assert(java.util.Arrays.equals(h, naiveH), s"attrGramRows H rows=$rows half=$half")
     }
   }
 
@@ -242,15 +243,14 @@ class SvdCcdSpec extends AnyFunSuite {
     val gf = DenseMatrix.randn(half, d, 23L).data
     val gb = DenseMatrix.randn(half, d, 24L).data
     val y = DenseMatrix.randn(d, half, 25L)
-    val acc = gf ++ gb ++ hf.data ++ hb.data
-    assert(acc.length == SvdCcd.attrGramSize(half, d))
+    val g = gf ++ gb
     val y1 = y.copy
-    SvdCcd.attrReplay(y1, acc, 0, d)
+    SvdCcd.attrReplay(y1, g, hf.data ++ hb.data, 0, d)
     val (gf2, gb2) = (gf.clone, gb.clone)
     val (y2, _) = formerSparkReplay(y, gf2, gb2, hf, hb)
     assert(java.util.Arrays.equals(y1.data, y2.data))
-    assert(java.util.Arrays.equals(acc.take(half * d), gf2))
-    assert(java.util.Arrays.equals(acc.slice(half * d, 2 * half * d), gb2))
+    assert(java.util.Arrays.equals(g.take(half * d), gf2))
+    assert(java.util.Arrays.equals(g.slice(half * d, 2 * half * d), gb2))
   }
 
   test("staged nodeRow equals the flat kernel bit for bit for every k/2 % 4") {
@@ -279,21 +279,36 @@ class SvdCcdSpec extends AnyFunSuite {
 
   test("staged attrGramRows equals the flat kernel bit for bit") {
     // rows mod 4 = 1, 2, 3 and 0; k/2 mod 4 = 0..3; fOff > 0 and
-    // fStride > w; the accumulator starts non-zero, as a second call on it
-    // would find it; H is filled in two row ranges.
+    // fStride > w; G starts non-zero, as a second call on it would find it.
     for (rows <- Seq(1, 4, 6, 7, 9); half <- Seq(3, 4, 5, 6, 8); w <- Seq(5, 7, 13)) {
       val rnd = new scala.util.Random(500L + 100 * rows + 10 * half + w)
       val (fOff, stride) = (3, w + 4)
       val (xf, xb) = (mixed(rows * half, rnd), mixed(rows * half, rnd))
       val (f, b) = (mixed(fOff + rows * stride, rnd), mixed(fOff + rows * stride, rnd))
-      val acc1 = mixed(SvdCcd.attrGramSize(half, w), rnd)
-      val acc2 = acc1.clone
-      SvdCcd.attrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, acc1)
-      val split = half / 2
-      SvdCcd.gramRows(xf, xb, rows, half, split, half, acc1, 2 * half * w)
-      SvdCcd.gramRows(xf, xb, rows, half, 0, split, acc1, 2 * half * w)
-      flatAttrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, acc2)
-      assert(java.util.Arrays.equals(acc1, acc2), s"attrGramRows rows = $rows, k/2 = $half, w = $w")
+      val g1 = mixed(2 * half * w, rnd)
+      val g2 = g1.clone
+      SvdCcd.attrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, g1)
+      flatAttrGramRows(xf, xb, f, b, fOff, stride, rows, half, w, g2)
+      assert(java.util.Arrays.equals(g1, g2), s"attrGramRows rows = $rows, k/2 = $half, w = $w")
+    }
+  }
+
+  test("H from attrGramRows on X equals the flat gramRows bit for bit") {
+    // rows mod 4 = 0..3 and k/2 mod 4 = 0..3: from zero (gramian) and onto
+    // an H that starts non-zero, as a second call on it would find it.
+    for (rows <- 1 to 9; half <- 1 to 8) {
+      val rnd = new scala.util.Random(900L + 10 * rows + half)
+      val where = s"rows = $rows, k/2 = $half"
+      val (xf, xb) = (new DenseMatrix(rows, half, mixed(rows * half, rnd)), new DenseMatrix(rows, half, mixed(rows * half, rnd)))
+      val st = SvdCcd.State(xf, xb, DenseMatrix.zeros(1, half), DenseMatrix.zeros(rows, 1), DenseMatrix.zeros(rows, 1))
+      val flat = new Array[Double](2 * half * half)
+      flatGramRows(xf.data, xb.data, rows, half, flat)
+      assert(java.util.Arrays.equals(SvdCcd.gramian(st), flat), s"gramian $where")
+      val h1 = mixed(2 * half * half, rnd)
+      val h2 = h1.clone
+      SvdCcd.attrGramRows(xf.data, xb.data, xf.data, xb.data, 0, half, rows, half, half, h1)
+      flatGramRows(xf.data, xb.data, rows, half, h2)
+      assert(java.util.Arrays.equals(h1, h2), s"pre-filled H $where")
     }
   }
 
@@ -314,11 +329,9 @@ class SvdCcdSpec extends AnyFunSuite {
       SvdCcd.attrSweep(st1, 2, 9); flatAttrSweep(st2, 2, 9); same("attrSweep [2, 9)")
       for (it <- 0 until 2) {
         SvdCcd.nodeSweep(st1, 0, n); flatNodeSweep(st2, 0, n); same(s"full nodeSweep $it")
-        // The pool's form: H once, in two row ranges, shared by two column blocks.
-        val gram = new Array[Double](2 * half * half)
-        SvdCcd.gramRows(st1.xf.data, st1.xb.data, n, half, 0, 2, gram, 0)
-        SvdCcd.gramRows(st1.xf.data, st1.xb.data, n, half, 2, half, gram, 0)
-        SvdCcd.attrSweep(st1, 4, d, gram); SvdCcd.attrSweep(st1, 0, 4, gram)
+        // The pool's form: H once, shared by two column blocks.
+        val h = SvdCcd.gramian(st1)
+        SvdCcd.attrSweep(st1, 4, d, h); SvdCcd.attrSweep(st1, 0, 4, h)
         flatAttrSweep(st2, 0, d); same(s"full attrSweep $it")
       }
     }
@@ -550,16 +563,14 @@ object SvdCcdSpec {
     }
   }
 
-  /** XᵀM on w columns of M (M being F' and B', or Sf and Sb) and
-    * Hf = XfᵀXf, Hb = XbᵀXb, added to `acc` in the [[SvdCcd.attrGramSize]]
-    * layout: four node rows per pass, then the remainder rows.
+  /** XfᵀMf then XbᵀMb on w columns of M (M being F' and B', or Sf and Sb),
+    * added to `g` in the [[SvdCcd.attrGramRows]] layout: four node rows per
+    * pass, then the remainder rows.
     */
   def flatAttrGramRows(xf: Array[Double], xb: Array[Double],
                        mf: Array[Double], mb: Array[Double], mOff: Int, mStride: Int,
-                       rows: Int, half: Int, w: Int, acc: Array[Double]): Unit = {
+                       rows: Int, half: Int, w: Int, g: Array[Double]): Unit = {
     val gSize = half * w
-    val hfBase = 2 * gSize
-    val hbBase = 2 * gSize + half * half
     var r = 0
     while (r + 4 <= rows) {
       val x0 = r * half
@@ -578,17 +589,9 @@ object SvdCcdSpec {
         val gbOff = gSize + l * w
         var c = 0
         while (c < w) {
-          acc(gfOff + c) += f0 * mf(s0 + c) + f1 * mf(s1 + c) + f2 * mf(s2 + c) + f3 * mf(s3 + c)
-          acc(gbOff + c) += b0 * mb(s0 + c) + b1 * mb(s1 + c) + b2 * mb(s2 + c) + b3 * mb(s3 + c)
+          g(gfOff + c) += f0 * mf(s0 + c) + f1 * mf(s1 + c) + f2 * mf(s2 + c) + f3 * mf(s3 + c)
+          g(gbOff + c) += b0 * mb(s0 + c) + b1 * mb(s1 + c) + b2 * mb(s2 + c) + b3 * mb(s3 + c)
           c += 1
-        }
-        val hfOff = hfBase + l * half
-        val hbOff = hbBase + l * half
-        var l2 = 0
-        while (l2 < half) {
-          acc(hfOff + l2) += f0 * xf(x0 + l2) + f1 * xf(x1 + l2) + f2 * xf(x2 + l2) + f3 * xf(x3 + l2)
-          acc(hbOff + l2) += b0 * xb(x0 + l2) + b1 * xb(x1 + l2) + b2 * xb(x2 + l2) + b3 * xb(x3 + l2)
-          l2 += 1
         }
         l += 1
       }
@@ -605,18 +608,61 @@ object SvdCcdSpec {
         val gbOff = gSize + l * w
         var c = 0
         while (c < w) {
-          acc(gfOff + c) += f0 * mf(s0 + c)
-          acc(gbOff + c) += b0 * mb(s0 + c)
+          g(gfOff + c) += f0 * mf(s0 + c)
+          g(gbOff + c) += b0 * mb(s0 + c)
           c += 1
         }
-        val hfOff = hfBase + l * half
-        val hbOff = hbBase + l * half
+        l += 1
+      }
+      r += 1
+    }
+  }
+
+  /** Hf = XfᵀXf then Hb = XbᵀXb (k/2 × k/2 each, row-major) over `rows`
+    * node rows, added to `h`: the dedicated Gramian kernel the Y-phase ran
+    * before it formed H with [[SvdCcd.attrGramRows]] on X. Four node rows
+    * per pass, then the remainder rows one by one.
+    */
+  def flatGramRows(xf: Array[Double], xb: Array[Double], rows: Int, half: Int, h: Array[Double]): Unit = {
+    val hbOff = half * half
+    var r = 0
+    while (r + 4 <= rows) {
+      val x0 = r * half
+      val x1 = x0 + half
+      val x2 = x1 + half
+      val x3 = x2 + half
+      var l = 0
+      while (l < half) {
+        val f0 = xf(x0 + l); val f1 = xf(x1 + l); val f2 = xf(x2 + l); val f3 = xf(x3 + l)
+        val hfl = l * half
         var l2 = 0
         while (l2 < half) {
-          acc(hfOff + l2) += f0 * xf(x0 + l2)
-          acc(hbOff + l2) += b0 * xb(x0 + l2)
+          h(hfl + l2) += f0 * xf(x0 + l2) + f1 * xf(x1 + l2) + f2 * xf(x2 + l2) + f3 * xf(x3 + l2)
           l2 += 1
         }
+        val b0 = xb(x0 + l); val b1 = xb(x1 + l); val b2 = xb(x2 + l); val b3 = xb(x3 + l)
+        val hbl = hbOff + l * half
+        l2 = 0
+        while (l2 < half) {
+          h(hbl + l2) += b0 * xb(x0 + l2) + b1 * xb(x1 + l2) + b2 * xb(x2 + l2) + b3 * xb(x3 + l2)
+          l2 += 1
+        }
+        l += 1
+      }
+      r += 4
+    }
+    while (r < rows) {
+      val x0 = r * half
+      var l = 0
+      while (l < half) {
+        val f0 = xf(x0 + l)
+        val hfl = l * half
+        var l2 = 0
+        while (l2 < half) { h(hfl + l2) += f0 * xf(x0 + l2); l2 += 1 }
+        val b0 = xb(x0 + l)
+        val hbl = hbOff + l * half
+        l2 = 0
+        while (l2 < half) { h(hbl + l2) += b0 * xb(x0 + l2); l2 += 1 }
         l += 1
       }
       r += 1
@@ -631,16 +677,18 @@ object SvdCcdSpec {
     for (i <- rowFrom until rowUntil) kern.nodeRow(st.xf.data, st.xb.data, i * half, st.f.data, st.b.data, i * d)
   }
 
-  /** [[SvdCcd.attrSweep]] on the flat kernel ([[SvdCcd.attrUpdate]] is
+  /** [[SvdCcd.attrSweep]] on the flat kernels ([[SvdCcd.attrUpdate]] is
     * shared).
     */
   def flatAttrSweep(st: SvdCcd.State, attrFrom: Int, attrUntil: Int): Unit = {
     val half = st.y.cols
     val d = st.y.rows
     val w = attrUntil - attrFrom
-    val acc = new Array[Double](SvdCcd.attrGramSize(half, w))
-    flatAttrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, attrFrom, d, st.xf.rows, half, w, acc)
-    SvdCcd.attrUpdate(st.y, acc, attrFrom, w)
+    val g = new Array[Double](2 * half * w)
+    flatAttrGramRows(st.xf.data, st.xb.data, st.f.data, st.b.data, attrFrom, d, st.xf.rows, half, w, g)
+    val h = new Array[Double](2 * half * half)
+    flatGramRows(st.xf.data, st.xb.data, st.xf.rows, half, h)
+    SvdCcd.attrUpdate(st.y, g, h, attrFrom, w)
   }
 
   /** The driver loop SparkPane ran before it called SvdCcd.attrReplay;
@@ -707,12 +755,14 @@ object SvdCcdSpec {
 
     /** The Y-phase: XᵀS and H, the replay, then S −= X·ΔYᵀ. */
     def attrPhase(): Unit = {
-      val acc = new Array[Double](SvdCcd.attrGramSize(half, d))
-      flatAttrGramRows(xf.data, xb.data, sf.data, sb.data, 0, d, n, half, d, acc)
       val gSize = half * d
-      val hf = new DenseMatrix(half, half, acc.slice(2 * gSize, 2 * gSize + half * half))
-      val hb = new DenseMatrix(half, half, acc.slice(2 * gSize + half * half, acc.length))
-      val (newY, delta) = formerSparkReplay(y, acc.take(gSize), acc.slice(gSize, 2 * gSize), hf, hb)
+      val g = new Array[Double](2 * gSize)
+      flatAttrGramRows(xf.data, xb.data, sf.data, sb.data, 0, d, n, half, d, g)
+      val h = new Array[Double](2 * half * half)
+      flatGramRows(xf.data, xb.data, n, half, h)
+      val hf = new DenseMatrix(half, half, h.take(half * half))
+      val hb = new DenseMatrix(half, half, h.drop(half * half))
+      val (newY, delta) = formerSparkReplay(y, g.take(gSize), g.drop(gSize), hf, hb)
       System.arraycopy(newY.data, 0, y.data, 0, y.data.length)
       val deltaT = delta.transpose.data
       for (i <- 0 until n) {

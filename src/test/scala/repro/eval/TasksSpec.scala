@@ -59,6 +59,26 @@ class TasksSpec extends AnyFunSuite {
     assert(sampled.filterNot(_.positive).map(p => (p.i, p.j)).toSeq == Seq((0, 1), (0, 1)))
   }
 
+  test("splits fail before splitting when a directed edge or an attribute entry repeats") {
+    // 40 nodes with two out-edges and two attributes each, every one given twice.
+    val n = 40
+    val (src, dst) = (0 until n).flatMap(i => Seq((i, (i + 1) % n), (i, (i + 7) % n))).unzip
+    val (attrNode, attrId) = (0 until n).flatMap(i => Seq((i, i % 10), (i, (3 * i + 1) % 10))).unzip
+    def twice(a: IndexedSeq[Int]): Array[Int] = (a ++ a).toArray
+    def doubled(directed: Boolean) = AttributedGraph(n, 10, twice(src), twice(dst), twice(attrNode), twice(attrId),
+      Array.fill(4 * n)(1.0), labels = Array.fill(n)(Array(0)), directed = directed)
+    val attrMsg = intercept[IllegalArgumentException](Tasks.attributeInference(doubled(true), seed = 1L)).getMessage
+    for (part <- Seq("160 entries", "80 distinct")) assert(attrMsg.contains(part), attrMsg)
+    val linkMsg = intercept[IllegalArgumentException](Tasks.linkPrediction(doubled(true), seed = 2L)).getMessage
+    for (part <- Seq("160 edges", "80 distinct")) assert(linkMsg.contains(part), linkMsg)
+    // Undirected, the split runs on distinct pairs, so no removed pair stays.
+    val (gRes, pairs) = Tasks.linkPrediction(doubled(false), seed = 2L)
+    assert(pairs.count(_.positive) == (80 * 0.3).toInt)
+    pairs.filter(_.positive).foreach { p =>
+      assert(!gRes.edgeSet.contains(p.i.toLong * n + p.j) && !gRes.edgeSet.contains(p.j.toLong * n + p.i), s"leaked $p")
+    }
+  }
+
   test("attribute split preserves the graph edges untouched") {
     val (gTrain, _) = Tasks.attributeInference(g, seed = 4L)
     assert(gTrain.m == g.m)
