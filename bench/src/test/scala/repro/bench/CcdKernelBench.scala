@@ -4,20 +4,26 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Apmi, PaneConfig, SvdCcd}
 import repro.core.SvdCcdSpec._
 import repro.graph.Datasets
+import repro.linalg.DenseMatrix
+import repro.linalg.DenseMatrixSpec.flatMul
 
 /** Warm rates of the CCD kernels at k = 64 on the state GreedyInit leaves:
   * `nodeSweep` (the X-phase: F'·Y, X·H and the coordinate loop),
   * `attrGramRows` (the Y-phase accumulation XᵀF') and `attrGramRows` on X
   * (the Gramian H = XᵀX, as `SvdCcd.gramian` forms it), each over all n
-  * rows, staged against their flat oracles.
-  * Prints the median of 9 runs after 3 warm-up runs, in seconds and GFMA/s
-  * (fused multiply-adds of the kernel's inner loops, 1e9 per second). The
-  * only assertion is that every staged kernel equals its flat oracle bit
-  * for bit.
+  * rows, and RandSVD's first product F'·Ω (Ω d × 40, k/2 plus the
+  * oversampling), staged against their flat oracles.
+  * Prints the share of non-zero entries in F' and B', then the median of
+  * 9 runs after 3 warm-up runs, in seconds and GFMA/s (fused multiply-adds
+  * of the kernel's inner loops, 1e9 per second). `nodeSweep` and `F'*Omega` (F'·Ω)
+  * skip the exact zeros of F' and B', so their multiply-adds are counted on
+  * the non-zero terms only, for both forms. The only assertion is that
+  * every staged kernel equals its flat oracle bit for bit.
   *
   * One JVM's median reflects how C2 compiled the kernel in that JVM, so
-  * compare kernels over several JVMs (at least 5 per side), each one run
-  * of: `sbt "bench/testOnly repro.bench.CcdKernelBench"`.
+  * compare kernels over several JVMs (at least 5 per side):
+  * `bench/kernel-jvms.sh N` runs this suite in N fresh JVMs and prints each
+  * kernel's median and range over them.
   */
 class CcdKernelBench extends AnyFunSuite {
 
@@ -62,23 +68,30 @@ class CcdKernelBench extends AnyFunSuite {
       h
     }
 
+    val omega = DenseMatrix.randn(d, half + 8, cfg.seed)
+    def nnz(m: DenseMatrix): Long = m.data.count(_ != 0.0).toLong
+    val (nnzF, nnzB) = (nnz(aff.fPrime), nnz(aff.bPrime))
+
     // Bit-equality with the flat oracles, on copies of the init state.
     val (s1, s2) = (copyOf(init), copyOf(init))
     SvdCcd.nodeSweep(s1, 0, n); flatNodeSweep(s2, 0, n)
     assert(sameState(s1, s2), "nodeSweep")
     assert(java.util.Arrays.equals(yAcc(s1), flatYAcc(s2)), "attrGramRows")
     assert(java.util.Arrays.equals(SvdCcd.gramian(s1), flatGram(s2)), "attrGramRows on X")
+    assert(java.util.Arrays.equals((aff.fPrime * omega).data, flatMul(aff.fPrime, omega).data), "F'*Omega")
 
     // Timed on one state each; the sweeps keep converging, which changes no
     // loop bound.
     val st = copyOf(init)
     val fl = copyOf(init)
     val rows = Seq(
-      ("nodeSweep", 2.0 * n * half * (d + half),
+      ("nodeSweep", half.toDouble * (nnzF + nnzB) + 2.0 * n * half * half,
         median(SvdCcd.nodeSweep(st, 0, n)), median(flatNodeSweep(fl, 0, n))),
       ("attrGramRows", 2.0 * n * half * d, median(yAcc(st)), median(flatYAcc(fl))),
-      ("gramian", 2.0 * n * half * half, median(SvdCcd.gramian(st)), median(flatGram(fl))))
+      ("gramian", 2.0 * n * half * half, median(SvdCcd.gramian(st)), median(flatGram(fl))),
+      ("F'*Omega", nnzF.toDouble * omega.cols, median(aff.fPrime * omega), median(flatMul(aff.fPrime, omega))))
     println(f"=== CCD kernels on ${ds.name} (n $n, d $d, k ${cfg.k}; median of $runs after $warmups warm-up runs) ===")
+    println(f"non-zero share: F' ${nnzF.toDouble / (n.toLong * d)}%.3f, B' ${nnzB.toDouble / (n.toLong * d)}%.3f")
     for ((name, fma, staged, flat) <- rows)
       println(f"$name%-13s staged $staged%8.4f s ${fma / staged / 1e9}%5.2f GFMA/s   flat $flat%8.4f s ${fma / flat / 1e9}%5.2f GFMA/s")
   }

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, SparseMatrix}
+import repro.linalg.{DenseMatrix, RowAxpy, SparseMatrix}
 
 /** Algorithm 2 — APMI: approximate forward/backward affinity matrices
   * F', B' in O(m·d·t) without sampling random walks.
@@ -45,8 +45,9 @@ object Apmi {
     * walk passes (Pᵀ from [[transposeCsr]], Rc).
     *
     * Each hop is one fused pass into a ping-pong buffer: row i gathers
-    * Σ_q P[i,q]·X[q] in P's row order into its output row, then the R0
-    * row, kept sparse and staged in a scratch row, is folded in. Every
+    * Σ_q P[i,q]·X[q] in P's row order into its output row, four rows of X
+    * per pass ([[RowAxpy.add]] on P's values and column indices), then the
+    * R0 row, kept sparse and staged in a scratch row, is folded in. Every
     * array in the inner loops is read at the same index. The sums, their
     * order and the final (1−α)·x + α·r are those of `(P * X).zipWith(R0)`,
     * so the result equals that dense recurrence bit for bit, on any
@@ -87,15 +88,7 @@ object Apmi {
       while (i < n) {
         val acc = nxt(i)
         java.util.Arrays.fill(acc, 0.0)
-        var q = p.rowPtr(i)
-        val end = p.rowPtr(i + 1)
-        while (q < end) {
-          val v = p.values(q)
-          val x = cur(p.colIdx(q))
-          var j = 0
-          while (j < w) { acc(j) += v * x(j); j += 1 }
-          q += 1
-        }
+        RowAxpy.add(p.values, p.colIdx, p.rowPtr(i), p.rowPtr(i + 1), cur, acc, w)
         stage(i, r, clear = false)
         var j = 0
         while (j < w) { acc(j) = beta * acc(j) + alpha * r(j); j += 1 }

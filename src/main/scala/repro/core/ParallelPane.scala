@@ -139,17 +139,16 @@ object ParallelPane {
   /** SMGreedyInit's per-block init (Alg 7 Lines 7–11) of node block `bi`,
     * rows [from, until) of `st`: Xf = Ui·W[bi], Xb = B'[Vi]·Y with
     * B' = st.b and Y = st.y. The pool passes the full state and a block's
-    * range (B'[Vi] is copied out); Spark passes one block's state and all of
-    * its rows (B' is multiplied as is).
+    * range; Spark passes one block's state and all of its rows. Xb is
+    * formed from the rows of B' where they lie and written straight into st.xb
+    * ([[DenseMatrix.mulRowsInto]]), so no copy of B'[Vi] is made.
     */
   def initBlock(st: SvdCcd.State, from: Int, until: Int,
                 ui: DenseMatrix, w: DenseMatrix, bi: Int): Unit = {
     val half = st.y.cols
-    val b = st.b
     val xfB = ui * w.rowSlice(bi * half, (bi + 1) * half)
-    val xbB = (if (from == 0 && until == b.rows) b else b.rowSlice(from, until)) * st.y
     System.arraycopy(xfB.data, 0, st.xf.data, from * half, xfB.data.length)
-    System.arraycopy(xbB.data, 0, st.xb.data, from * half, xbB.data.length)
+    st.b.mulRowsInto(st.y, from, until, st.xb.data, from * half)
   }
 
   /** Algorithm 8 — PSVDCCD: `iters` CCD sweeps on the initialized state

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.linalg.{DenseMatrix, RandSvd}
+import repro.linalg.{DenseMatrix, RandSvd, RowAxpy}
 import scala.util.Random
 
 /** Embedding triple: forward/backward node embeddings (n × k/2 each) and
@@ -99,31 +99,33 @@ object SvdCcd extends Serializable {
     }
   }
 
-  /** The node-row kernel for a fixed Y (k/2 columns, d rows): Yᵀ as k/2
-    * row arrays of length d and H = YᵀY (k/2 × k/2), built once, plus
-    * scratch rows for F'[i] and B'[i] and O(k) more. The kernel works on
-    * staged rows, so each array in an inner loop is read at the same index
-    * (the form C2 vectorises, DESIGN.md §2). Not thread-safe: each thread or
-    * Spark partition builds its own, and every instance built from the same
-    * Y gives bit-identical rows.
+  /** The node-row kernel for a fixed Y (k/2 columns, d rows): Y's d rows
+    * as row arrays and H = YᵀY (k/2 × k/2), built once, plus a [[RowAxpy]]
+    * of width d and O(k) more. Each array in an inner loop is read at the
+    * same index (the form C2 vectorises, DESIGN.md §2). Not thread-safe:
+    * each thread or Spark partition builds its own, and every instance built
+    * from the same Y gives bit-identical rows.
     */
   final class RowKernels(y: DenseMatrix) {
     private val half = y.cols
     private val d = y.rows
-    private val yt = lRows(y.transpose.data, 0, half, d)
+    private val yRows = Array.tabulate(d)(y.row)
     private val h = y.tMul(y).data
+    private val acc = new RowAxpy(d)
     private val gf = new Array[Double](half)
     private val gb = new Array[Double](half)
     private val xhf = new Array[Double](half)
     private val xhb = new Array[Double](half)
-    private val fRow = new Array[Double](d)
-    private val bRow = new Array[Double](d)
 
     /** The X-phase update of one node (Alg 4 Lines 4–9) by Gramian replay
       * (DESIGN.md §2), with the X rows at `xOff` and the rows F'[i], B'[i]
-      * at `fOff`, copied into the scratch rows once:
-      *  1. p = F'[i]·Y for F' and B', one unit-stride pass over Yᵀ per four
-      *     coordinates, eight independent sums;
+      * at `fOff`:
+      *  1. p = F'[i]·Y for F' and B' as Σ_j F'[i,j]·Y[j] over the non-zero
+      *     entries of the row, in ascending j, four rows of Y per pass
+      *     ([[RowAxpy]]). Each p[l] gets the flat dot product's terms in its
+      *     order, less the zero terms: a zero term adds ±0 to a sum that
+      *     starts at +0.0 and, under round-to-nearest, never becomes −0.0,
+      *     so dropping it is exact for finite Y;
       *  2. g = X[i]·H − p, which is S[i]·Y, with X[i]·H summed over the rows
       *     of H in order;
       *  3. for each l in order, μ = g[l] / H[l,l] (Eq 16), X[i,l] −= μ and
@@ -132,42 +134,13 @@ object SvdCcd extends Serializable {
       */
     def nodeRow(xf: Array[Double], xb: Array[Double], xOff: Int,
                 f: Array[Double], b: Array[Double], fOff: Int): Unit = {
-      System.arraycopy(f, fOff, fRow, 0, d)
-      System.arraycopy(b, fOff, bRow, 0, d)
-      var l = 0
-      while (l + 4 <= half) {
-        val y0 = yt(l)
-        val y1 = yt(l + 1)
-        val y2 = yt(l + 2)
-        val y3 = yt(l + 3)
-        var f0, f1, f2, f3, b0, b1, b2, b3 = 0.0
-        var j = 0
-        while (j < d) {
-          val fj = fRow(j)
-          val bj = bRow(j)
-          val y0j = y0(j)
-          val y1j = y1(j)
-          val y2j = y2(j)
-          val y3j = y3(j)
-          f0 += fj * y0j; f1 += fj * y1j; f2 += fj * y2j; f3 += fj * y3j
-          b0 += bj * y0j; b1 += bj * y1j; b2 += bj * y2j; b3 += bj * y3j
-          j += 1
-        }
-        gf(l) = f0; gf(l + 1) = f1; gf(l + 2) = f2; gf(l + 3) = f3
-        gb(l) = b0; gb(l + 1) = b1; gb(l + 2) = b2; gb(l + 3) = b3
-        l += 4
-      }
-      while (l < half) {
-        val y0 = yt(l)
-        var f0, b0 = 0.0
-        var j = 0
-        while (j < d) { f0 += fRow(j) * y0(j); b0 += bRow(j) * y0(j); j += 1 }
-        gf(l) = f0
-        gb(l) = b0
-        l += 1
-      }
+      java.util.Arrays.fill(gf, 0.0)
+      java.util.Arrays.fill(gb, 0.0)
+      acc.addNonZeros(f, fOff, d, yRows, gf, half)
+      acc.addNonZeros(b, fOff, d, yRows, gb, half)
       java.util.Arrays.fill(xhf, 0.0)
       java.util.Arrays.fill(xhb, 0.0)
+      var l = 0
       var l2 = 0
       while (l2 < half) {
         val hOff = l2 * half

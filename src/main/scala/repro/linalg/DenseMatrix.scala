@@ -22,36 +22,35 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
 
   def copy: DenseMatrix = new DenseMatrix(rows, cols, data.clone())
 
-  /** C = this * B in i-k-j order. Each C row is accumulated in a scratch
-    * row, t += aik·B[k], over B split into row arrays, so every array in
-    * the inner loop is read at the same index (the form C2 vectorises),
-    * then copied into C. Same order and zero skip as the flat loop, so
-    * the result is bit-identical to it.
+  /** C = this * B in i-k-j order: each row of C is accumulated in a scratch
+    * row by [[RowAxpy]], which skips the row's exact zeros and adds four
+    * rows of B per pass (split into row arrays once per call), then copied
+    * into C. Same terms, order and `aik != 0.0` skip as the flat loop
+    * `t(j) += aik·B[k](j)`, so the result is bit-identical to it.
     */
   def *(b: DenseMatrix): DenseMatrix = {
-    require(cols == b.rows, s"dim mismatch: ($rows x $cols) * (${b.rows} x ${b.cols})")
     val c = DenseMatrix.zeros(rows, b.cols)
+    mulRowsInto(b, 0, rows, c.data, 0)
+    c
+  }
+
+  /** Rows [from, until) of this * B, as [[*]] forms them, written row-major
+    * into `out` from `outOff`: row i at outOff + (i − from)·B.cols.
+    */
+  def mulRowsInto(b: DenseMatrix, from: Int, until: Int, out: Array[Double], outOff: Int): Unit = {
+    require(cols == b.rows, s"dim mismatch: ($rows x $cols) * (${b.rows} x ${b.cols})")
+    require(0 <= from && from <= until && until <= rows, s"row range [$from, $until) outside [0, $rows)")
     val bc = b.cols
     val bRows = Array.tabulate(b.rows)(b.row)
+    val acc = new RowAxpy(cols)
     val t = new Array[Double](bc)
-    var i = 0
-    while (i < rows) {
+    var i = from
+    while (i < until) {
       java.util.Arrays.fill(t, 0.0)
-      val aOff = i * cols
-      var k = 0
-      while (k < cols) {
-        val aik = data(aOff + k)
-        if (aik != 0.0) {
-          val bk = bRows(k)
-          var j = 0
-          while (j < bc) { t(j) += aik * bk(j); j += 1 }
-        }
-        k += 1
-      }
-      System.arraycopy(t, 0, c.data, i * bc, bc)
+      acc.addNonZeros(data, i * cols, cols, bRows, t, bc)
+      System.arraycopy(t, 0, out, outOff + (i - from) * bc, bc)
       i += 1
     }
-    c
   }
 
   /** C = thisᵀ * B without materializing the transpose. B's row i is

@@ -71,6 +71,8 @@ class ParallelPaneSpec extends AnyFunSuite {
         val where = s"block $bi of nb = $nb"
         for ((name, a, full) <- Seq(("Xf", own.xf, pool.xf), ("Xb", own.xb, pool.xb), ("Sf", own.sf, pool.sf), ("Sb", own.sb, pool.sb)))
           assert(java.util.Arrays.equals(a.data, full.rowSlice(from, until).data), s"$name, $where")
+        // The pool forms Xb from the rows of B' where they lie: B'[Vi]·Y bit for bit.
+        assert(java.util.Arrays.equals(pool.xb.rowSlice(from, until).data, (bb * y).data), s"Xb = B'[Vi]·Y, $where")
       }
     }
   }

@@ -256,17 +256,21 @@ class SvdCcdSpec extends AnyFunSuite {
   test("staged nodeRow equals the flat kernel bit for bit for every k/2 % 4") {
     // k/2 = 1..3 run only the remainder loops, 4 and 8 only the four-row
     // passes, 5..7 both; rows have lengths that are not multiples of 4 and
-    // start at offsets > 0; a quarter of the entries are exact zeros.
-    for (half <- 1 to 8; w <- Seq(1, 7, 13)) {
+    // start at offsets > 0. At density 0.75 a quarter of the F' and B'
+    // entries are exact zeros; at 0.1 most are, as in a sparse F', and
+    // row 1 of F' and B' is all zeros. The flat kernel sums every term, the
+    // staged one only the non-zero ones.
+    for (half <- 1 to 8; (w, density) <- Seq((1, 0.75), (7, 0.75), (13, 0.75), (9, 0.1), (37, 0.1))) {
       val rnd = new scala.util.Random(300L + 17 * half + w)
-      val where = s"k/2 = $half, d = $w"
+      val where = s"k/2 = $half, d = $w, density $density"
       val y = new DenseMatrix(w, half, mixed(w * half, rnd))
       if (half == 5) for (j <- 0 until w) y(j, 1) = 0.0 // H[1,1] = 0: the skipped coordinate
       val (kern, flat) = (new SvdCcd.RowKernels(y), new FlatRowKernels(y))
       val rows = 3
       val (xOff, rOff) = (1, 2)
       val xf1 = mixed(xOff + rows * half, rnd); val xb1 = mixed(xOff + rows * half, rnd)
-      val f = mixed(rOff + rows * w + 1, rnd); val b = mixed(rOff + rows * w + 1, rnd)
+      val f = sparse(rOff + rows * w + 1, density, rnd); val b = sparse(rOff + rows * w + 1, density, rnd)
+      if (density < 0.5) for (m <- Seq(f, b)) java.util.Arrays.fill(m, rOff + w, rOff + 2 * w, 0.0)
       val (xf2, xb2, f0, b0) = (xf1.clone, xb1.clone, f.clone, b.clone)
       for (i <- 0 until rows) {
         kern.nodeRow(xf1, xb1, xOff + i * half, f, b, rOff + i * w)
@@ -413,6 +417,10 @@ object SvdCcdSpec {
   /** Random entries, about a quarter of them exact zeros. */
   def mixed(len: Int, rnd: scala.util.Random): Array[Double] =
     Array.fill(len)(if (rnd.nextInt(4) == 0) 0.0 else rnd.nextGaussian())
+
+  /** Random entries, each non-zero with probability `density`. */
+  def sparse(len: Int, density: Double, rnd: scala.util.Random): Array[Double] =
+    Array.fill(len)(if (rnd.nextDouble() < density) rnd.nextGaussian() else 0.0)
 
   /** One residual patch on flat arrays: s[sOff + c] −= Σ_l coef[cOff + l]·m[l·w + c]
     * for c < w and l < half, where m is k/2 × w in l-major order, four

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.PropSupport
 import repro.linalg.DenseMatrixOps._
+import DenseMatrixSpec._
 
 class DenseMatrixSpec extends AnyFunSuite with PropSupport {
 
@@ -75,25 +76,6 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  /** The flat i-k-j loops the staged `*` and `tMul` replaced, kept as oracles. */
-  private def flatMul(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
-    val c = DenseMatrix.zeros(a.rows, b.cols)
-    for (i <- 0 until a.rows; k <- 0 until a.cols) {
-      val aik = a.data(i * a.cols + k)
-      if (aik != 0.0) for (j <- 0 until b.cols) c.data(i * b.cols + j) += aik * b.data(k * b.cols + j)
-    }
-    c
-  }
-
-  private def flatTMul(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
-    val c = DenseMatrix.zeros(a.cols, b.cols)
-    for (i <- 0 until a.rows; k <- 0 until a.cols) {
-      val aik = a.data(i * a.cols + k)
-      if (aik != 0.0) for (j <- 0 until b.cols) c.data(k * b.cols + j) += aik * b.data(i * b.cols + j)
-    }
-    c
-  }
-
   test("staged * and tMul equal the flat loops bit for bit, with exact zeros and vector shapes") {
     val shapes = Seq((1, 7, 5), (7, 1, 5), (7, 5, 1), (1, 1, 1), (13, 9, 11), (40, 33, 17))
     for (((r, m, c), s) <- shapes.zipWithIndex) {
@@ -103,6 +85,31 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
       val bt = DenseMatrix.randn(r, c, 30L + s)
       assert(java.util.Arrays.equals((a * b).data, flatMul(a, b).data), s"* at $r x $m x $c")
       assert(java.util.Arrays.equals(a.tMul(bt).data, flatTMul(a, bt).data), s"tMul at $r x $m x $c")
+    }
+  }
+
+  test("* equals the flat loop bit for bit at densities 0 to 1, on zero rows, −0.0 and non-finite B rows behind zeros") {
+    // Inner dimensions 0–9 and 37 give every count of non-zeros mod 4.
+    for (m <- (0 to 9) :+ 37; density <- Seq(0.0, 0.1, 0.5, 1.0)) {
+      val rnd = new Random(31L * m + (10 * density).toInt)
+      val where = s"inner $m, density $density"
+      val (r, c) = (6, 5)
+      val a = new DenseMatrix(r, m, Array.fill(r * m) {
+        if (rnd.nextDouble() < density) rnd.nextGaussian() else if (rnd.nextBoolean()) -0.0 else 0.0
+      })
+      if (m > 0) for (k <- 0 until m) a(2, k) = 0.0 // an all-zero row
+      val b = new DenseMatrix(m, c, Array.fill(m * c)(rnd.nextGaussian()))
+      // A column of A that is zero in every row may hide NaN and Inf in B.
+      if (m > 3) {
+        for (i <- 0 until r) a(i, 3) = if (i % 2 == 0) -0.0 else 0.0
+        for (j <- 0 until c) b(3, j) = if (j % 2 == 0) Double.NaN else Double.NegativeInfinity
+      }
+      val prod = a * b
+      assert(java.util.Arrays.equals(prod.data, flatMul(a, b).data), s"* $where")
+      assert(prod.data.forall(x => !x.isNaN && !x.isInfinite), s"non-finite leaked, $where")
+      val out = Array.fill(2 + 3 * c)(-1.0)
+      a.mulRowsInto(b, 2, 5, out, 2)
+      assert(java.util.Arrays.equals(out, Array(-1.0, -1.0) ++ prod.data.slice(2 * c, 5 * c)), s"mulRowsInto $where")
     }
   }
 
@@ -187,5 +194,29 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     assert((a.applyTo(x) - (a * x)).maxAbs == 0.0)
     val y = DenseMatrix.randn(4, 2, 10L)
     assert((a.applyTransposeTo(y) - a.tMul(y)).maxAbs == 0.0)
+  }
+}
+
+object DenseMatrixSpec {
+
+  /** The flat i-k-j loops the staged `*` and `tMul` replaced, kept as
+    * oracles (here and in the kernel bench).
+    */
+  def flatMul(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
+    val c = DenseMatrix.zeros(a.rows, b.cols)
+    for (i <- 0 until a.rows; k <- 0 until a.cols) {
+      val aik = a.data(i * a.cols + k)
+      if (aik != 0.0) for (j <- 0 until b.cols) c.data(i * b.cols + j) += aik * b.data(k * b.cols + j)
+    }
+    c
+  }
+
+  def flatTMul(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
+    val c = DenseMatrix.zeros(a.cols, b.cols)
+    for (i <- 0 until a.rows; k <- 0 until a.cols) {
+      val aik = a.data(i * a.cols + k)
+      if (aik != 0.0) for (j <- 0 until b.cols) c.data(k * b.cols + j) += aik * b.data(i * b.cols + j)
+    }
+    c
   }
 }
