@@ -166,9 +166,10 @@ object Tasks {
     out
   }
 
-  /** Score test pairs with `scorer` and compute (AUC, AP). */
+  /** Score test pairs with `scorer`, in pair order, and compute (AUC, AP). */
   def evaluate(pairs: Array[TestPair], scorer: (Int, Int) => Double): (Double, Double) = {
-    val scored = pairs.toSeq.map(p => (scorer(p.i, p.j), p.positive))
-    (Metrics.auc(scored), Metrics.averagePrecision(scored))
+    val (scores, positive) = (new Array[Double](pairs.length), new Array[Boolean](pairs.length))
+    for (r <- pairs.indices) { scores(r) = scorer(pairs(r).i, pairs(r).j); positive(r) = pairs(r).positive }
+    Metrics.aucAp(scores, positive)
   }
 }
