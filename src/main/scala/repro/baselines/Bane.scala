@@ -26,7 +26,7 @@ object Bane {
     // (BANE is undirected-only — part of the gap PANE exploits); α = 0
     // gives `hops` plain products Â·M from M = R̃.
     val aHat = g.symmetrized.withSelfLoops.walkMatrix
-    val m = DenseMatrix.fromRows(Apmi.propagate(aHat, g.attrRowNorm, 0.0, hops, 0, g.d).toSeq)
+    val m = Apmi.propagate(aHat, g.attrRowNorm, 0.0, hops, 0, g.d)
     val (u, sig, _) = RandSvd(m, k, 6, seed = seed)
     val x = DenseMatrix.zeros(g.n, k)
     var i = 0

@@ -25,6 +25,5 @@ object BlaLite {
     * is exactly λ, so each hop is exactly λ·P·Z + (1−λ)·R_train.
     */
   def infer(g: AttributedGraph, lambda: Double = 0.7, iters: Int = 3): Model =
-    Model(DenseMatrix.fromRows(
-      Apmi.propagate(g.symmetrized.walkMatrix, g.attrRowNorm, 1 - lambda, iters, 0, g.d).toSeq))
+    Model(Apmi.propagate(g.symmetrized.walkMatrix, g.attrRowNorm, 1 - lambda, iters, 0, g.d))
 }

@@ -42,7 +42,7 @@ object CanLite {
     // Symmetrize the graph (CAN cannot use direction).
     val sym = g.symmetrized
     // PANE's forward recurrence, t hops.
-    val cur = DenseMatrix.fromRows(Apmi.propagate(sym.walkMatrix, sym.attrRowNorm, alpha, t, 0, g.d).toSeq)
+    val cur = Apmi.propagate(sym.walkMatrix, sym.attrRowNorm, alpha, t, 0, g.d)
     // Raw walk probabilities — deliberately no SPMI transform.
     val (x, v) = SvdCcd.scaledSvd(cur, k / 2, 6, seed)
     Model(x, v)

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.core.{Apmi, SvdCcd}
 import repro.graph.AttributedGraph
-import repro.linalg.{DenseMatrix, SparseMatrix}
+import repro.linalg.SparseMatrix
 
 /** SGC-style propagation — linear stand-in for the unsupervised GNN
   * encoders DGI [ICLR'19] and ARGA [IJCAI'18].
@@ -31,7 +31,7 @@ object GcnProp {
     }
     val aHat = new SparseMatrix(g.n, g.n, a.rowPtr, a.colIdx, vals)
     // α = 0: `hops` plain products Â·M from M = R̃.
-    val m = DenseMatrix.fromRows(Apmi.propagate(aHat, g.attrRowNorm, 0.0, hops, 0, g.d).toSeq)
+    val m = Apmi.propagate(aHat, g.attrRowNorm, 0.0, hops, 0, g.d)
     DotModel(SvdCcd.scaledSvd(m, k, 6, seed)._1)
   }
 }

@@ -40,18 +40,19 @@ object Apmi {
   }
 
   /** Columns [from, until) of P^{(t)} for the recurrence
-    * P^{(ℓ)} = (1−α)·P·P^{(ℓ−1)} + α·R0, P^{(0)} = R0, as n row arrays of
-    * width until − from. The forward walk passes (P, Rr); the backward
-    * walk passes (Pᵀ from [[transposeCsr]], Rc).
+    * P^{(ℓ)} = (1−α)·P·P^{(ℓ−1)} + α·R0, P^{(0)} = R0, as an n × (until − from)
+    * matrix. The forward walk passes (P, Rr); the backward walk passes
+    * (Pᵀ from [[transposeCsr]], Rc).
     *
-    * Each hop is one fused pass into a ping-pong buffer: row i gathers
-    * Σ_q P[i,q]·X[q] in P's row order into its output row, four rows of X
-    * per pass ([[RowAxpy.add]] on P's values and column indices), then the
-    * R0 row, kept sparse and staged in a scratch row, is folded in. Every
-    * array in the inner loops is read at the same index. The sums, their
-    * order and the final (1−α)·x + α·r are those of `(P * X).zipWith(R0)`,
-    * so the result equals that dense recurrence bit for bit, on any
-    * column range.
+    * Each hop is one fused pass: row i gathers Σ_q P[i,q]·X[q] in P's row
+    * order into a scratch row, four rows of X per pass ([[RowAxpy.add]] on
+    * P's values and column indices, over X held as row arrays), then the R0
+    * row, kept sparse and staged in a second scratch row, is folded in as
+    * (1−α)·x + α·r. Hops 1 … t − 1 write into a ping-pong row buffer; the
+    * last hop drops that buffer and writes straight into the result, so at
+    * most 2·n·w doubles are live. The sums, their order and the final expression are those of
+    * `(P * X).zipWith(R0)`, so the result equals that dense recurrence bit
+    * for bit, on any column range; t = 0 gives R0's block.
     *
     * Unrolling the printed recurrence gives
     *   P^(t) = α Σ_{ℓ=0..t-1} (1-α)^ℓ P^ℓ R0  +  (1-α)^t P^t R0,
@@ -61,44 +62,56 @@ object Apmi {
     * Algorithm 2 Lines 2-5; Lemma 3.1-style bounds hold with ε' = (1-α)^t.
     */
   def propagate(p: SparseMatrix, r0: SparseMatrix, alpha: Double, t: Int,
-                from: Int, until: Int): Array[Array[Double]] = {
+                from: Int, until: Int): DenseMatrix = {
     val n = p.rows
     require(p.cols == n && r0.rows == n, s"need square P and R0 with its rows: P ${p.rows} x ${p.cols}, R0 ${r0.rows} rows")
     require(0 <= from && from <= until && until <= r0.cols, s"column range [$from, $until) outside [0, ${r0.cols})")
     require(t >= 0, s"need t >= 0, got $t")
     val w = until - from
-    // Adds row i of R0's block into `row`; with `clear`, zeroes those entries again.
-    def stage(i: Int, row: Array[Double], clear: Boolean): Unit = {
+    // Adds row i of R0's block into `row` from `off`; with `clear`, zeroes those entries again.
+    def stage(i: Int, row: Array[Double], off: Int, clear: Boolean): Unit = {
       var q = r0.rowPtr(i)
       while (q < r0.rowPtr(i + 1)) {
         val c = r0.colIdx(q) - from
-        if (c >= 0 && c < w) row(c) = if (clear) 0.0 else row(c) + r0.values(q)
+        if (c >= 0 && c < w) row(off + c) = if (clear) 0.0 else row(off + c) + r0.values(q)
         q += 1
       }
     }
-    var cur = Array.fill(n)(new Array[Double](w))
-    var i = 0
-    while (i < n) { stage(i, cur(i), clear = false); i += 1 }
-    var nxt = Array.fill(n)(new Array[Double](w))
-    val r = new Array[Double](w)
-    val beta = 1 - alpha
-    var l = 1
-    while (l <= t) {
-      i = 0
-      while (i < n) {
-        val acc = nxt(i)
+    if (t == 0) {
+      val out = DenseMatrix.zeros(n, w)
+      var i = 0
+      while (i < n) { stage(i, out.data, i * w, clear = false); i += 1 }
+      out
+    } else {
+      val acc = new Array[Double](w)
+      val r = new Array[Double](w)
+      val beta = 1 - alpha
+      // Row i of one hop over X = `x`, written into `dst` from `off`.
+      def hop(x: Array[Array[Double]], i: Int, dst: Array[Double], off: Int): Unit = {
         java.util.Arrays.fill(acc, 0.0)
-        RowAxpy.add(p.values, p.colIdx, p.rowPtr(i), p.rowPtr(i + 1), cur, acc, w)
-        stage(i, r, clear = false)
+        RowAxpy.add(p.values, p.colIdx, p.rowPtr(i), p.rowPtr(i + 1), x, acc, w)
+        stage(i, r, 0, clear = false)
         var j = 0
-        while (j < w) { acc(j) = beta * acc(j) + alpha * r(j); j += 1 }
-        stage(i, r, clear = true)
-        i += 1
+        while (j < w) { dst(off + j) = beta * acc(j) + alpha * r(j); j += 1 }
+        stage(i, r, 0, clear = true)
       }
-      val tmp = cur; cur = nxt; nxt = tmp
-      l += 1
+      var cur = Array.fill(n)(new Array[Double](w))
+      var i = 0
+      while (i < n) { stage(i, cur(i), 0, clear = false); i += 1 }
+      var nxt = if (t > 1) Array.fill(n)(new Array[Double](w)) else null
+      var l = 1
+      while (l < t) {
+        i = 0
+        while (i < n) { hop(cur, i, nxt(i), 0); i += 1 }
+        val tmp = cur; cur = nxt; nxt = tmp
+        l += 1
+      }
+      nxt = null
+      val out = DenseMatrix.zeros(n, w)
+      i = 0
+      while (i < n) { hop(cur, i, out.data, i * w); i += 1 }
+      out
     }
-    cur
   }
 
   /** Explicit CSR of Pᵀ in O(nnz): P's entries, visited row by row, go
@@ -114,28 +127,29 @@ object Apmi {
     new SparseMatrix(p.cols, p.rows, ptr, order.map(rowOf(_)), order.map(p.values(_)))
   }
 
-  /** SPMI for F' on a column block, in place: column-normalizes the rows
-    * of P_f^{(t)}[:, block] (a column sum needs only the block) and maps
-    * each entry to log(n·P̂ + 1), n being the number of rows. Returns `pf`.
+  /** SPMI for F' on a column block, in place: column-normalizes
+    * P_f^{(t)}[:, block] (a column sum needs only the block, summed in row
+    * order) and maps each entry to log(n·P̂ + 1), n being the number of
+    * rows. Returns `pf`.
     */
-  def spmiCols(pf: Array[Array[Double]]): Array[Array[Double]] = {
-    val n = pf.length
-    val w = if (n == 0) 0 else pf(0).length
+  def spmiCols(pf: DenseMatrix): DenseMatrix = {
+    val n = pf.rows
+    val w = pf.cols
     val cs = new Array[Double](w)
     var i = 0
     while (i < n) {
-      val row = pf(i)
+      val off = i * w
       var j = 0
-      while (j < w) { cs(j) += row(j); j += 1 }
+      while (j < w) { cs(j) += pf.data(off + j); j += 1 }
       i += 1
     }
     i = 0
     while (i < n) {
-      val row = pf(i)
+      val off = i * w
       var j = 0
       while (j < w) {
         val s = cs(j)
-        row(j) = math.log(n * (if (s > 0) row(j) / s else 0.0) + 1)
+        pf.data(off + j) = math.log(n * (if (s > 0) pf.data(off + j) / s else 0.0) + 1)
         j += 1
       }
       i += 1
@@ -164,11 +178,14 @@ object Apmi {
     }
   }
 
-  /** Copies `rows` into the first rows of `m`, columns starting at `col`. */
-  def stitch(rows: Array[Array[Double]], m: DenseMatrix, col: Int): Unit = {
+  /** Copies `block` into the first rows of `m`, columns starting at `col`. */
+  def stitch(block: DenseMatrix, m: DenseMatrix, col: Int): Unit = {
+    require(block.rows <= m.rows && 0 <= col && col + block.cols <= m.cols,
+      s"${block.rows} x ${block.cols} block at column $col outside a ${m.rows} x ${m.cols} matrix")
+    val w = block.cols
     var i = 0
-    while (i < rows.length) {
-      System.arraycopy(rows(i), 0, m.data, i * m.cols + col, rows(i).length)
+    while (i < block.rows) {
+      System.arraycopy(block.data, i * w, m.data, i * m.cols + col, w)
       i += 1
     }
   }

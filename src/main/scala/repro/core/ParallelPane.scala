@@ -62,8 +62,10 @@ object ParallelPane {
 
   /** Algorithm 6 — PAPMI: block-parallel affinity approximation. Each
     * attribute-column block runs [[Apmi.propagate]] forward (finalized to F'
-    * in-block by [[Apmi.spmiCols]]) and backward over Pᵀ, writing its
-    * columns of F' and P_b^{(t)}; node blocks then row-normalize B' in place
+    * in-block by [[Apmi.spmiCols]]) and backward over Pᵀ, returning its
+    * columns of F' and P_b^{(t)}. With one block those are F' and P_b; with
+    * more, each is copied once into its columns of F' and P_b
+    * ([[Apmi.stitch]]). Node blocks then row-normalize B' in place
     * ([[Apmi.spmiRows]]). [[Apmi.run]] is its nb = 1 call, so every nb
     * gives the same F' and B' bit for bit (Lemma 4.1).
     */
@@ -77,15 +79,25 @@ object ParallelPane {
     val n = p.rows
     val d = rr.cols
     val pT = Apmi.transposeCsr(p)
-    // Column blocks write disjoint columns of the shared outputs.
-    val fP = DenseMatrix.zeros(n, d)
-    val bP = DenseMatrix.zeros(n, d)
-    run.runAll(ranges(d, run.nb).map { case (from, until) =>
+    val colBlocks = ranges(d, run.nb)
+    val fs = new Array[DenseMatrix](colBlocks.length)
+    val pbs = new Array[DenseMatrix](colBlocks.length)
+    run.runAll(colBlocks.zipWithIndex.map { case ((from, until), ci) =>
       () => {
-        Apmi.stitch(Apmi.spmiCols(Apmi.propagate(p, rr, alpha, t, from, until)), fP, from)
-        Apmi.stitch(Apmi.propagate(pT, rc, alpha, t, from, until), bP, from)
+        fs(ci) = Apmi.spmiCols(Apmi.propagate(p, rr, alpha, t, from, until))
+        pbs(ci) = Apmi.propagate(pT, rc, alpha, t, from, until)
       }
     })
+    // Drops each block once copied, so a join holds at most n·d more.
+    def join(blocks: Array[DenseMatrix]): DenseMatrix =
+      if (blocks.length == 1) blocks(0)
+      else {
+        val m = DenseMatrix.zeros(n, d)
+        blocks.indices.foreach { ci => Apmi.stitch(blocks(ci), m, colBlocks(ci)._1); blocks(ci) = null }
+        m
+      }
+    val fP = join(fs)
+    val bP = join(pbs)
     run.runAll(ranges(n, run.nb).map { case (from, until) => () => Apmi.spmiRows(bP, from, until) })
     (fP, bP)
   }

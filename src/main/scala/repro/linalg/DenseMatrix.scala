@@ -5,7 +5,7 @@ import scala.util.Random
 /** Row-major dense matrix of doubles.
   *
   * This is the workhorse for all O(n·d) intermediates in PANE (affinity
-  * matrices, embeddings, residuals). Kernels are plain JVM loops; the
+  * matrices, embeddings). Kernels are plain JVM loops; the
   * products stage rows in scratch arrays so every inner loop reads its
   * arrays at one index (DESIGN.md §2, kernel shape). At reproduction scale
   * (n ≤ 1e5, d ≤ 2e3, k ≤ 256) this is comfortably fast and has no native
@@ -18,7 +18,10 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
   @inline def update(i: Int, j: Int, v: Double): Unit = data(i * cols + j) = v
 
   /** Copy of row `i` as a fresh array. */
-  def row(i: Int): Array[Double] = java.util.Arrays.copyOfRange(data, i * cols, (i + 1) * cols)
+  def row(i: Int): Array[Double] = {
+    require(0 <= i && i < rows, s"row $i outside [0, $rows) of a $rows x $cols matrix")
+    java.util.Arrays.copyOfRange(data, i * cols, (i + 1) * cols)
+  }
 
   def copy: DenseMatrix = new DenseMatrix(rows, cols, data.clone())
 
@@ -145,9 +148,12 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
   }
 
   /** Matrix block of the given row range [from, until). */
-  def rowSlice(from: Int, until: Int): DenseMatrix =
+  def rowSlice(from: Int, until: Int): DenseMatrix = {
+    require(0 <= from && from <= until && until <= rows,
+      s"row range [$from, $until) outside [0, $rows) of a $rows x $cols matrix")
     new DenseMatrix(until - from, cols,
       java.util.Arrays.copyOfRange(data, from * cols, until * cols))
+  }
 
   // LinOp interface: lets RandSvd treat explicit and implicit matrices alike.
   override def applyTo(x: DenseMatrix): DenseMatrix = this * x
@@ -186,21 +192,6 @@ object DenseMatrix {
     var i = 0
     while (i < d.length) { d(i) = rnd.nextGaussian(); i += 1 }
     new DenseMatrix(rows, cols, d)
-  }
-
-  /** Build from a sequence of row arrays (all of equal length). */
-  def fromRows(rowsSeq: Seq[Array[Double]]): DenseMatrix = {
-    require(rowsSeq.nonEmpty, "no rows")
-    val r = rowsSeq.length
-    val c = rowsSeq.head.length
-    val m = zeros(r, c)
-    var i = 0
-    rowsSeq.foreach { row =>
-      require(row.length == c, "ragged rows")
-      System.arraycopy(row, 0, m.data, i * c, c)
-      i += 1
-    }
-    m
   }
 
   /** Vertical concatenation. */

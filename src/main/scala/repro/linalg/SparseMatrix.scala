@@ -3,9 +3,10 @@ package repro.linalg
 /** Immutable CSR (compressed sparse row) matrix.
   *
   * Backs the random-walk matrix `P` (n×n, m non-zeros) and the attribute
-  * matrix `R` (n×d, |E_R| non-zeros). The only kernels PANE needs are
-  * sparse·dense products — `P·X` and `Pᵀ·X` — plus row/column normalization
-  * for Equation (1).
+  * matrix `R` (n×d, |E_R| non-zeros), with row/column normalization for
+  * Equation (1). PANE walks P through `Apmi.propagate`, which reads the CSR
+  * arrays directly; the sparse·dense products `P·X` and `Pᵀ·X` serve NRP's
+  * `PprOp`, NetMF, TADW and `RandSvd` on TADW's attribute matrix.
   */
 final class SparseMatrix(
     val rows: Int,

@@ -1,5 +1,7 @@
 package repro.spark
 
+import java.io.{ObjectInputStream, ObjectOutputStream}
+
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.SparkSession
@@ -22,10 +24,11 @@ import repro.linalg.DenseMatrix
   *    broadcast (the dataflow analog of the paper's shared memory); each
   *    task runs [[Apmi.propagate]] for its column slice, finalizes F'
   *    in-block (column normalization is block-local) and emits one chunk
-  *    per node block. A partition allocates F'[Vi] and P_b[Vi] once and
-  *    stitches each chunk into them as the shuffle reader yields it, then
-  *    row-normalizes B'[Vi] in place, with the same kernels as
-  *    [[Apmi.run]], so F' and B' equal the single-thread APMI bit for bit.
+  *    per node block, its rows of the result ([[RowBlock]], no copy). A
+  *    partition allocates F'[Vi] and P_b[Vi] once and stitches each chunk
+  *    into them as the shuffle reader yields it, then row-normalizes B'[Vi]
+  *    in place, with the same kernels as [[Apmi.run]], so F' and B' equal
+  *    the single-thread APMI bit for bit.
   *  - **SMGreedyInit** (Alg 7): [[ParallelPane.splitSvd]] on each block's
   *    F'[Vi], [[ParallelPane.mergeSvd]] on the driver, and
   *    [[ParallelPane.initBlock]] per block, as in the pool. Each
@@ -54,6 +57,36 @@ import repro.linalg.DenseMatrix
   * for every run with the same nb (tested bit for bit).
   */
 object SparkPane extends Serializable {
+
+  /** Rows [from, until) of a column block's F' or P_b as one shuffle record.
+    * Java serialization writes the rows straight from the block's array and
+    * reads them back as a matrix of just those rows, so the map side copies
+    * nothing: a `rowSlice` per chunk allocated 2 n·d more per embed, which on
+    * pubmed-lite forced a collection inside it. A serializer that skips
+    * `writeObject` ships the whole block, and [[rows]] is still those rows.
+    */
+  private[spark] final class RowBlock(private var m: DenseMatrix, private var from: Int,
+                                      private var until: Int) extends Serializable {
+    require(0 <= from && from <= until && until <= m.rows,
+      s"row range [$from, $until) outside [0, ${m.rows}) of a ${m.rows} x ${m.cols} matrix")
+
+    def rows: DenseMatrix = if (from == 0 && until == m.rows) m else m.rowSlice(from, until)
+
+    private def writeObject(out: ObjectOutputStream): Unit = {
+      out.writeInt(until - from)
+      out.writeInt(m.cols)
+      var i = from * m.cols
+      while (i < until * m.cols) { out.writeDouble(m.data(i)); i += 1 }
+    }
+
+    private def readObject(in: ObjectInputStream): Unit = {
+      m = DenseMatrix.zeros(in.readInt(), in.readInt())
+      from = 0
+      until = m.rows
+      var i = 0
+      while (i < m.data.length) { m.data(i) = in.readDouble(); i += 1 }
+    }
+  }
 
   /** Node block i of `ranges(n, nb)`: its rows of F' and B'. */
   final case class AffBlock(f: DenseMatrix, b: DenseMatrix)
@@ -108,7 +141,7 @@ object SparkPane extends Serializable {
         val fP = Apmi.spmiCols(Apmi.propagate(bcP.value, bcRr.value, alpha, t, from, until))
         val pb = Apmi.propagate(bcPT.value, bcRc.value, alpha, t, from, until)
         nodeBlocks.iterator.zipWithIndex.map { case ((r0, r1), bi) =>
-          (bi, (ci, fP.slice(r0, r1), pb.slice(r0, r1)))
+          (bi, (ci, new RowBlock(fP, r0, r1), new RowBlock(pb, r0, r1)))
         }
     }
 
@@ -120,8 +153,8 @@ object SparkPane extends Serializable {
       val f = DenseMatrix.zeros(rows, d)
       val b = DenseMatrix.zeros(rows, d)
       parts.foreach { case (_, (ci, fc, pc)) =>
-        Apmi.stitch(fc, f, colBlocks(ci)._1)
-        Apmi.stitch(pc, b, colBlocks(ci)._1)
+        Apmi.stitch(fc.rows, f, colBlocks(ci)._1)
+        Apmi.stitch(pc.rows, b, colBlocks(ci)._1)
       }
       // B' needs full rows: row-normalize then SPMI (Alg 2 Lines 7-8).
       Apmi.spmiRows(b, 0, rows)

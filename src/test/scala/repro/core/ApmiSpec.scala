@@ -19,8 +19,8 @@ class ApmiSpec extends AnyFunSuite {
     * of Equation (6), for Lemma 3.1's bound tests.
     */
   private def truncatedDistributions(g: AttributedGraph, alpha: Double, t: Int): (DenseMatrix, DenseMatrix) =
-    (DenseMatrix.fromRows(Apmi.propagate(g.walkMatrix, g.attrRowNorm, alpha, t, 0, g.d).toSeq),
-      DenseMatrix.fromRows(Apmi.propagate(Apmi.transposeCsr(g.walkMatrix), g.attrColNorm, alpha, t, 0, g.d).toSeq))
+    (Apmi.propagate(g.walkMatrix, g.attrRowNorm, alpha, t, 0, g.d),
+      Apmi.propagate(Apmi.transposeCsr(g.walkMatrix), g.attrColNorm, alpha, t, 0, g.d))
 
   test("iterations formula matches the paper's ε↔t table at α=0.5") {
     assert(Apmi.iterations(0.5, 0.001) == 9)
@@ -101,15 +101,6 @@ class ApmiSpec extends AnyFunSuite {
     hatB.rowSums.foreach(s => assert(math.abs(s - 1.0) < 1e-12))
   }
 
-  test("F' equals log(n * P-hat + 1) exactly") {
-    val res = Apmi.run(g, alpha, t = 6)
-    val (hatF, hatB) = (normalized _).tupled(truncatedDistributions(g, alpha, t = 6))
-    for (i <- 0 until g.n; j <- 0 until g.d) {
-      assert(math.abs(res.fPrime(i, j) - math.log(g.n * hatF(i, j) + 1)) < 1e-12)
-      assert(math.abs(res.bPrime(i, j) - math.log(g.d * hatB(i, j) + 1)) < 1e-12)
-    }
-  }
-
   /** The dense recurrence `propagate` replaced, kept as its oracle:
     * X ← (1−α)·step(X) + α·R0, from X = R0, t times.
     */
@@ -119,35 +110,59 @@ class ApmiSpec extends AnyFunSuite {
     x
   }
 
+  test("F' equals log(n * P-hat + 1) exactly") {
+    // Independent of `propagate` and the SPMI kernels: the dense recurrence,
+    // then SPMI written out with column (F') and row (B') sums in row order.
+    for ((gr, t) <- Seq(g -> 6, Fixtures.figure1NoAttrs -> 10, Fixtures.mid -> 5)) {
+      val res = Apmi.run(gr, alpha, t)
+      val pf = denseRecurrence(gr.walkMatrix * _, gr.attrRowNorm.toDense, t)
+      val pb = denseRecurrence(gr.walkMatrix.tMul(_), gr.attrColNorm.toDense, t)
+      val cs = new Array[Double](gr.d)
+      for (i <- 0 until gr.n; j <- 0 until gr.d) cs(j) += pf(i, j)
+      for (i <- 0 until gr.n) {
+        var rs = 0.0
+        for (j <- 0 until gr.d) rs += pb(i, j)
+        for (j <- 0 until gr.d) {
+          val f = math.log(gr.n * (if (cs(j) > 0) pf(i, j) / cs(j) else 0.0) + 1)
+          val b = math.log(gr.d * (if (rs > 0) pb(i, j) / rs else 0.0) + 1)
+          assert(math.abs(res.fPrime(i, j) - f) == 0.0, s"${gr.name} F'($i, $j)")
+          assert(math.abs(res.bPrime(i, j) - b) == 0.0, s"${gr.name} B'($i, $j)")
+        }
+      }
+    }
+  }
+
   /** Columns [from, until) of `m`. */
   private def colBlock(m: DenseMatrix, from: Int, until: Int): DenseMatrix =
     m.transpose.rowSlice(from, until).transpose
 
   test("propagate equals the dense (P * X).zipWith recurrence bit for bit, full range and column blocks") {
     // figure1NoAttrs has a dangling node (5) and attribute-less nodes (0, 1).
-    for ((gr, t) <- Seq(Fixtures.figure1NoAttrs -> 10, Fixtures.mid -> 5)) {
+    // t = 0 returns R0's block and t = 1 is the last hop alone.
+    for ((gr, tMax) <- Seq(Fixtures.figure1NoAttrs -> 10, Fixtures.mid -> 5); t <- Seq(0, 1, tMax)) {
       val p = gr.walkMatrix
       val pT = Apmi.transposeCsr(p)
       val r0 = gr.attrRowNorm.toDense
       val fwd = denseRecurrence(p * _, r0, t)
       val bwd = denseRecurrence(p.tMul(_), gr.attrColNorm.toDense, t)
       for ((from, until) <- Seq((0, gr.d), (1, gr.d - 1), (gr.d / 2, gr.d / 2 + 1))) {
-        val f = DenseMatrix.fromRows(Apmi.propagate(p, gr.attrRowNorm, alpha, t, from, until).toSeq)
-        val b = DenseMatrix.fromRows(Apmi.propagate(pT, gr.attrColNorm, alpha, t, from, until).toSeq)
-        assert((f - colBlock(fwd, from, until)).maxAbs == 0.0, s"${gr.name} forward [$from, $until)")
-        assert((b - colBlock(bwd, from, until)).maxAbs == 0.0, s"${gr.name} backward [$from, $until)")
+        val f = Apmi.propagate(p, gr.attrRowNorm, alpha, t, from, until)
+        val b = Apmi.propagate(pT, gr.attrColNorm, alpha, t, from, until)
+        for (m <- Seq(f, b)) assert(m.rows == gr.n && m.cols == until - from, s"${gr.name} t = $t shape")
+        assert((f - colBlock(fwd, from, until)).maxAbs == 0.0, s"${gr.name} t = $t forward [$from, $until)")
+        assert((b - colBlock(bwd, from, until)).maxAbs == 0.0, s"${gr.name} t = $t backward [$from, $until)")
       }
       // α = 0 (GCN-prop, BANE): t plain products P·M from M = R0.
       var hops = r0
       for (_ <- 1 to t) hops = p * hops
-      val plain = DenseMatrix.fromRows(Apmi.propagate(p, gr.attrRowNorm, 0.0, t, 0, gr.d).toSeq)
-      assert((plain - hops).maxAbs == 0.0, s"${gr.name} alpha = 0")
+      val plain = Apmi.propagate(p, gr.attrRowNorm, 0.0, t, 0, gr.d)
+      assert((plain - hops).maxAbs == 0.0, s"${gr.name} t = $t alpha = 0")
       // α = 1 − λ (BLA-lite): against the recurrence λ·P·Z + (1−λ)·R0 written out.
       val lambda = 0.7
       var z = r0.copy
       for (_ <- 1 to t) z = (p * z).zipWith(r0, (pv, bv) => lambda * pv + (1 - lambda) * bv)
-      val bla = DenseMatrix.fromRows(Apmi.propagate(p, gr.attrRowNorm, 1 - lambda, t, 0, gr.d).toSeq)
-      assert((bla - z).maxAbs == 0.0, s"${gr.name} alpha = 1 - $lambda")
+      val bla = Apmi.propagate(p, gr.attrRowNorm, 1 - lambda, t, 0, gr.d)
+      assert((bla - z).maxAbs == 0.0, s"${gr.name} t = $t alpha = 1 - $lambda")
     }
   }
 

@@ -166,13 +166,6 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     assert(a(0, 0) != 99.0)
   }
 
-  test("fromRows builds the expected matrix and rejects ragged input") {
-    val m = DenseMatrix.fromRows(Seq(Array(1.0, 2.0), Array(3.0, 4.0)))
-    assert(m(1, 0) == 3.0)
-    assertThrows[IllegalArgumentException](
-      DenseMatrix.fromRows(Seq(Array(1.0), Array(1.0, 2.0))))
-  }
-
   test("randn is deterministic in the seed") {
     val a = DenseMatrix.randn(3, 3, 42L)
     val b = DenseMatrix.randn(3, 3, 42L)
@@ -186,6 +179,11 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     val b = DenseMatrix.zeros(2, 3)
     assertThrows[IllegalArgumentException](a * b)
     assertThrows[IllegalArgumentException](a.zipWith(DenseMatrix.zeros(3, 2), _ + _))
+    // Rows past the end were zero-padded before the range checks.
+    for (i <- Seq(-1, 2)) assertThrows[IllegalArgumentException](a.row(i))
+    for ((from, until) <- Seq((0, 3), (1, 0), (-1, 1), (2, 4)))
+      assertThrows[IllegalArgumentException](a.rowSlice(from, until))
+    assert(a.rowSlice(2, 2).rows == 0)
   }
 
   test("LinOp interface delegates to multiplication") {

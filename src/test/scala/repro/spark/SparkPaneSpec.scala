@@ -2,6 +2,7 @@ package repro.spark
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.serializer.JavaSerializer
 import org.apache.spark.sql.SparkSession
 import repro.{Fixtures, SparkSpec}
 import repro.core.{Apmi, Pane, PaneConfig, ParallelPane}
@@ -66,6 +67,21 @@ class SparkPaneSpec extends SparkSpec {
     // Same propagate and SPMI kernels on the same column ranges: bit-equal.
     assert((f - single.fPrime).maxAbs == 0.0)
     assert((b - single.bPrime).maxAbs == 0.0)
+  }
+
+  test("a RowBlock shuffle record carries exactly its rows, serialized or not") {
+    val m = DenseMatrix.randn(7, 3, 11L)
+    val java = new JavaSerializer(spark.sparkContext.getConf).newInstance()
+    for ((from, until) <- Seq((0, 7), (2, 5), (4, 4))) {
+      val block = new SparkPane.RowBlock(m, from, until)
+      // Unserialized, as a serializer that skips writeObject delivers it: the whole block and the range.
+      for ((how, rows) <- Seq("java" -> java.deserialize[SparkPane.RowBlock](java.serialize(block)).rows,
+                              "as built" -> block.rows)) {
+        assert(rows.rows == until - from && rows.cols == 3, s"$how [$from, $until)")
+        assert(rows.data.sameElements(m.rowSlice(from, until).data), s"$how [$from, $until)")
+      }
+    }
+    assertThrows[IllegalArgumentException](new SparkPane.RowBlock(m, 5, 8))
   }
 
   test("distributed PAPMI covers all n nodes including attribute-poor ones") {
