@@ -38,13 +38,13 @@ object Nrp {
     // Degree-aware reweighting (NRP §4 simplified): scale each node's
     // forward row by log(1+outdeg) and backward row by log(1+indeg) so
     // high-degree hubs regain the edge mass lost to normalization in P.
-    val inDeg = new Array[Int](g.n)
-    var e = 0
-    while (e < g.m) { inDeg(g.dst(e)) += 1; e += 1 }
+    // In-degrees from the merged adjacency, as P and the out-degrees are:
+    // parallel edges count once.
+    val inDeg = g.adjacency.colSums
     var i = 0
     while (i < g.n) {
       val wf = math.log1p(g.outDegree(i).toDouble)
-      val wb = math.log1p(inDeg(i).toDouble)
+      val wb = math.log1p(inDeg(i))
       var l = 0
       while (l < half) {
         val s = math.sqrt(math.max(sig(l), 0.0))

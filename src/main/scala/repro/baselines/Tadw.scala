@@ -48,16 +48,18 @@ object Tadw {
     // ALS on ‖M − Wᵀ H T‖² + λ(‖W‖²+‖H‖²); W: half×n, H: half×ft.
     var w = DenseMatrix.randn(half, n, seed).scale(0.01)
     var h = DenseMatrix.randn(half, fDim, seed + 1).scale(0.01)
-    val tt = tMat.mulT(tMat) // ft×ft
+    val tT = tMat.transpose // n×ft
+    val tt = tMat * tT // ft×ft
     var it = 0
     while (it < iters) {
       // W step: (Z Zᵀ + λI) W = Z Mᵀ, with Z = H·T.
       val z = h * tMat // half×n
-      val zz = z.mulT(z) // half×half
-      w = Solve.ridge(zz, lambda, z.mulT(m)) // = (ZZᵀ+λI)⁻¹·Z·Mᵀ, half×n
+      val zz = z * z.transpose // half×half
+      // Z·Mᵀ = (M·Zᵀ)ᵀ: transposes n×half blocks, never the n×n M.
+      w = Solve.ridge(zz, lambda, (m * z.transpose).transpose) // = (ZZᵀ+λI)⁻¹·Z·Mᵀ, half×n
       // H step: (W Wᵀ)·H·(T Tᵀ) + λH = W·M·Tᵀ.
-      val ww = w.mulT(w) // half×half
-      val rhs = (w * m).mulT(tMat) // half×ft
+      val ww = w * w.transpose // half×half
+      val rhs = (w * m) * tT // half×ft
       h = Solve.sylvesterRidge(ww, tt, lambda, rhs)
       it += 1
     }

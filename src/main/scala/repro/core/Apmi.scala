@@ -42,7 +42,7 @@ object Apmi {
   /** Columns [from, until) of P^{(t)} for the recurrence
     * P^{(ℓ)} = (1−α)·P·P^{(ℓ−1)} + α·R0, P^{(0)} = R0, as an n × (until − from)
     * matrix. The forward walk passes (P, Rr); the backward walk passes
-    * (Pᵀ from [[transposeCsr]], Rc).
+    * (`P.transpose`, Rc).
     *
     * Each hop is one fused pass: row i gathers Σ_q P[i,q]·X[q] in P's row
     * order into a scratch row, four rows of X per pass ([[RowAxpy.add]] on
@@ -112,19 +112,6 @@ object Apmi {
       while (i < n) { hop(cur, i, out.data, i * w); i += 1 }
       out
     }
-  }
-
-  /** Explicit CSR of Pᵀ in O(nnz): P's entries, visited row by row, go
-    * through [[SparseMatrix.countingSort]] by column. Row j lists its
-    * sources i in ascending order, the order in which `p.tMul`'s scatter
-    * adds them, so gathering over it sums the same terms in the same order.
-    */
-  def transposeCsr(p: SparseMatrix): SparseMatrix = {
-    val (ptr, order) = SparseMatrix.countingSort(p.cols, p.colIdx, Array.range(0, p.nnz))
-    val rowOf = new Array[Int](p.nnz)
-    var i = 0
-    while (i < p.rows) { java.util.Arrays.fill(rowOf, p.rowPtr(i), p.rowPtr(i + 1), i); i += 1 }
-    new SparseMatrix(p.cols, p.rows, ptr, order.map(rowOf(_)), order.map(p.values(_)))
   }
 
   /** SPMI for F' on a column block, in place: column-normalizes

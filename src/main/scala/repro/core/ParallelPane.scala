@@ -78,7 +78,7 @@ object ParallelPane {
     require(t >= 1, "need at least one iteration")
     val n = p.rows
     val d = rr.cols
-    val pT = Apmi.transposeCsr(p)
+    val pT = p.transpose
     val colBlocks = ranges(d, run.nb)
     val fs = new Array[DenseMatrix](colBlocks.length)
     val pbs = new Array[DenseMatrix](colBlocks.length)

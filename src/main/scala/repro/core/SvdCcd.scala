@@ -29,10 +29,10 @@ object SvdCcd extends Serializable {
       f: DenseMatrix, b: DenseMatrix,
   ) {
     /** Sf = Xf·Yᵀ − F', formed on demand (an n×d allocation). */
-    def sf: DenseMatrix = xf.mulT(y) - f
+    def sf: DenseMatrix = xf * y.transpose - f
 
     /** Sb = Xb·Yᵀ − B', formed on demand (an n×d allocation). */
-    def sb: DenseMatrix = xb.mulT(y) - b
+    def sb: DenseMatrix = xb * y.transpose - b
   }
 
   /** Algorithm 3 — GreedyInit.
@@ -371,8 +371,9 @@ object SvdCcd extends Serializable {
 
   /** Objective (4): ‖F' − Xf·Yᵀ‖²_F + ‖B' − Xb·Yᵀ‖²_F. */
   def objective(f: DenseMatrix, b: DenseMatrix, e: Embeddings): Double = {
-    val rf = e.xf.mulT(e.y) - f
-    val rb = e.xb.mulT(e.y) - b
+    val yT = e.y.transpose
+    val rf = e.xf * yT - f
+    val rb = e.xb * yT - b
     val a = rf.frobenius
     val c = rb.frobenius
     a * a + c * c

@@ -88,27 +88,6 @@ final class DenseMatrix(val rows: Int, val cols: Int, val data: Array[Double]) e
     c
   }
 
-  /** C = this * Bᵀ. */
-  def mulT(b: DenseMatrix): DenseMatrix = {
-    require(cols == b.cols, s"dim mismatch: ($rows x $cols) * (${b.rows} x ${b.cols})ᵀ")
-    val c = DenseMatrix.zeros(rows, b.rows)
-    var i = 0
-    while (i < rows) {
-      val aOff = i * cols
-      var j = 0
-      while (j < b.rows) {
-        val bOff = j * cols
-        var s = 0.0
-        var k = 0
-        while (k < cols) { s += data(aOff + k) * b.data(bOff + k); k += 1 }
-        c.data(i * b.rows + j) = s
-        j += 1
-      }
-      i += 1
-    }
-    c
-  }
-
   def transpose: DenseMatrix = {
     val t = DenseMatrix.zeros(cols, rows)
     var i = 0

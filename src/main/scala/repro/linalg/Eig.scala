@@ -8,12 +8,18 @@ package repro.linalg
   */
 object Eig {
 
+  /** Jacobi sweeps run until the off-diagonal norm is at most Tol times the
+    * Frobenius norm, or MaxSweeps have run.
+    */
+  private val MaxSweeps = 64
+  private val Tol = 1e-12
+
   /** Eigendecomposition A = V·diag(w)·Vᵀ of a symmetric matrix.
     *
     * @return (eigenvalues descending, eigenvectors as columns of V in the
     *         matching order)
     */
-  def symmetric(aIn: DenseMatrix, maxSweeps: Int = 64, tol: Double = 1e-12): (Array[Double], DenseMatrix) = {
+  def symmetric(aIn: DenseMatrix): (Array[Double], DenseMatrix) = {
     require(aIn.rows == aIn.cols, "symmetric eig needs a square matrix")
     val n = aIn.rows
     val a = aIn.copy
@@ -21,7 +27,7 @@ object Eig {
     var sweep = 0
     var off = offDiagNorm(a)
     val scale = math.max(a.frobenius, 1e-300)
-    while (sweep < maxSweeps && off > tol * scale) {
+    while (sweep < MaxSweeps && off > Tol * scale) {
       var p = 0
       while (p < n - 1) {
         var q = p + 1

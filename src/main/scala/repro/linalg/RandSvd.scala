@@ -15,23 +15,24 @@ package repro.linalg
   */
 object RandSvd {
 
+  /** Extra sketch columns, trimmed from the result. */
+  private val Oversample = 8
+
   /** Truncated SVD A ≈ U·diag(s)·Vᵀ with U: rows×k, V: cols×k.
     *
     * @param a          operator to factorize
     * @param k          target rank
     * @param iters      number of power iterations (≥ 0)
-    * @param oversample extra sketch columns (trimmed from the result)
     * @param seed       randomness seed — deterministic output
     */
   def apply(
       a: LinOp,
       k: Int,
       iters: Int,
-      oversample: Int = 8,
       seed: Long = 42L,
   ): (DenseMatrix, Array[Double], DenseMatrix) = {
     require(k >= 1, "rank must be >= 1")
-    val s = math.min(math.min(a.rows, a.cols), k + oversample)
+    val s = math.min(math.min(a.rows, a.cols), k + Oversample)
     require(s >= k, s"rank $k exceeds matrix dims ${a.rows} x ${a.cols}")
     val g = DenseMatrix.randn(a.cols, s, seed)
     var q = Qr.orthonormal(a.applyTo(g))

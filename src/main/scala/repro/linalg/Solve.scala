@@ -41,6 +41,6 @@ object Solve {
       }
       i += 1
     }
-    va * cTilde.mulT(vb)
+    va * (cTilde * vb.transpose)
   }
 }

@@ -4,9 +4,11 @@ package repro.linalg
   *
   * Backs the random-walk matrix `P` (n×n, m non-zeros) and the attribute
   * matrix `R` (n×d, |E_R| non-zeros), with row/column normalization for
-  * Equation (1). PANE walks P through `Apmi.propagate`, which reads the CSR
-  * arrays directly; the sparse·dense products `P·X` and `Pᵀ·X` serve NRP's
-  * `PprOp`, NetMF, TADW and `RandSvd` on TADW's attribute matrix.
+  * Equation (1). PANE walks P and its explicit [[transpose]] through
+  * `Apmi.propagate`, which reads the CSR arrays directly. The one
+  * sparse·dense product is the row gather `*`, and Pᵀ·X is
+  * `transpose * X`; they serve NRP's `PprOp`, NetMF, TADW and `RandSvd`
+  * on TADW's attribute matrix.
   */
 final class SparseMatrix(
     val rows: Int,
@@ -53,25 +55,19 @@ final class SparseMatrix(
     c
   }
 
-  /** C = thisᵀ · B  (cols×rows · rows×k) without materializing the transpose. */
-  def tMul(b: DenseMatrix): DenseMatrix = {
-    require(rows == b.rows, s"dim mismatch: ($rows x $cols)T * (${b.rows} x ${b.cols})")
-    val k = b.cols
-    val c = DenseMatrix.zeros(cols, k)
+  /** Explicit CSR of thisᵀ in O(nnz): the entries, visited row by row, go
+    * through [[SparseMatrix.countingSort]] by column, so row j lists its
+    * sources i in ascending order (repeated entries in row order).
+    * `transpose * x` therefore sums each output entry's terms in ascending
+    * i, as the scatter `c[j] += v·x[i]` over rows i in order does. A `def`,
+    * so a broadcast matrix does not ship its transpose.
+    */
+  def transpose: SparseMatrix = {
+    val (ptr, order) = SparseMatrix.countingSort(cols, colIdx, Array.range(0, nnz))
+    val rowOf = new Array[Int](nnz)
     var i = 0
-    while (i < rows) {
-      val bOff = i * k
-      var p = rowPtr(i)
-      while (p < rowPtr(i + 1)) {
-        val v = values(p)
-        val cOff = colIdx(p) * k
-        var j = 0
-        while (j < k) { c.data(cOff + j) += v * b.data(bOff + j); j += 1 }
-        p += 1
-      }
-      i += 1
-    }
-    c
+    while (i < rows) { java.util.Arrays.fill(rowOf, rowPtr(i), rowPtr(i + 1), i); i += 1 }
+    new SparseMatrix(cols, rows, ptr, order.map(rowOf(_)), order.map(values(_)))
   }
 
   /** Row sums (length `rows`). */
@@ -126,7 +122,7 @@ final class SparseMatrix(
   }
 
   override def applyTo(x: DenseMatrix): DenseMatrix = this * x
-  override def applyTransposeTo(x: DenseMatrix): DenseMatrix = this.tMul(x)
+  override def applyTransposeTo(x: DenseMatrix): DenseMatrix = transpose * x
 }
 
 object SparseMatrix {

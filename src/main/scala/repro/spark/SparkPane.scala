@@ -129,7 +129,7 @@ object SparkPane extends Serializable {
     val d = g.d
     val sc = spark.sparkContext
     val bcP = sc.broadcast(g.walkMatrix)
-    val bcPT = sc.broadcast(Apmi.transposeCsr(g.walkMatrix))
+    val bcPT = sc.broadcast(g.walkMatrix.transpose)
     val bcRr = sc.broadcast(g.attrRowNorm)
     val bcRc = sc.broadcast(g.attrColNorm)
     val colBlocks = ParallelPane.ranges(d, math.max(nb, math.min(d, sc.defaultParallelism * 2)))

@@ -34,6 +34,15 @@ class BaselinesSpec extends AnyFunSuite {
     assert(math.abs(m.undirected(1, 2) - (m.directed(1, 2) + m.directed(2, 1))) < 1e-12)
   }
 
+  test("NRP counts a repeated edge once, as P and the out-degrees do") {
+    val edges = g.src.zip(g.dst).distinct
+    val dedup = g.withEdges(edges.map(_._1), edges.map(_._2))
+    val repeated = dedup.withEdges(dedup.src ++ dedup.src.take(50), dedup.dst ++ dedup.dst.take(50))
+    val (a, b) = (Nrp.embed(dedup, k), Nrp.embed(repeated, k))
+    assert(java.util.Arrays.equals(a.xf.data, b.xf.data))
+    assert(java.util.Arrays.equals(a.xb.data, b.xb.data))
+  }
+
   // ----------------------------------------------------------- TADW
 
   test("TADW enforces the n×n memory wall") {

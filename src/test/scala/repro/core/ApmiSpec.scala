@@ -5,6 +5,7 @@ import repro.Fixtures
 import repro.graph.{AttributedGraph, WalkSimulator}
 import repro.linalg.DenseMatrix
 import repro.linalg.DenseMatrixOps._
+import repro.linalg.SparseMatrixSpec.scatterTMul
 
 /** APMI is validated against the Monte-Carlo random-walk simulator — the
   * definitional ground truth of Section 2.2 — plus the paper's structural
@@ -20,7 +21,7 @@ class ApmiSpec extends AnyFunSuite {
     */
   private def truncatedDistributions(g: AttributedGraph, alpha: Double, t: Int): (DenseMatrix, DenseMatrix) =
     (Apmi.propagate(g.walkMatrix, g.attrRowNorm, alpha, t, 0, g.d),
-      Apmi.propagate(Apmi.transposeCsr(g.walkMatrix), g.attrColNorm, alpha, t, 0, g.d))
+      Apmi.propagate(g.walkMatrix.transpose, g.attrColNorm, alpha, t, 0, g.d))
 
   test("iterations formula matches the paper's ε↔t table at α=0.5") {
     assert(Apmi.iterations(0.5, 0.001) == 9)
@@ -116,7 +117,7 @@ class ApmiSpec extends AnyFunSuite {
     for ((gr, t) <- Seq(g -> 6, Fixtures.figure1NoAttrs -> 10, Fixtures.mid -> 5)) {
       val res = Apmi.run(gr, alpha, t)
       val pf = denseRecurrence(gr.walkMatrix * _, gr.attrRowNorm.toDense, t)
-      val pb = denseRecurrence(gr.walkMatrix.tMul(_), gr.attrColNorm.toDense, t)
+      val pb = denseRecurrence(scatterTMul(gr.walkMatrix, _), gr.attrColNorm.toDense, t)
       val cs = new Array[Double](gr.d)
       for (i <- 0 until gr.n; j <- 0 until gr.d) cs(j) += pf(i, j)
       for (i <- 0 until gr.n) {
@@ -141,10 +142,10 @@ class ApmiSpec extends AnyFunSuite {
     // t = 0 returns R0's block and t = 1 is the last hop alone.
     for ((gr, tMax) <- Seq(Fixtures.figure1NoAttrs -> 10, Fixtures.mid -> 5); t <- Seq(0, 1, tMax)) {
       val p = gr.walkMatrix
-      val pT = Apmi.transposeCsr(p)
+      val pT = p.transpose
       val r0 = gr.attrRowNorm.toDense
       val fwd = denseRecurrence(p * _, r0, t)
-      val bwd = denseRecurrence(p.tMul(_), gr.attrColNorm.toDense, t)
+      val bwd = denseRecurrence(scatterTMul(p, _), gr.attrColNorm.toDense, t)
       for ((from, until) <- Seq((0, gr.d), (1, gr.d - 1), (gr.d / 2, gr.d / 2 + 1))) {
         val f = Apmi.propagate(p, gr.attrRowNorm, alpha, t, from, until)
         val b = Apmi.propagate(pT, gr.attrColNorm, alpha, t, from, until)
@@ -163,19 +164,6 @@ class ApmiSpec extends AnyFunSuite {
       for (_ <- 1 to t) z = (p * z).zipWith(r0, (pv, bv) => lambda * pv + (1 - lambda) * bv)
       val bla = Apmi.propagate(p, gr.attrRowNorm, 1 - lambda, t, 0, gr.d)
       assert((bla - z).maxAbs == 0.0, s"${gr.name} t = $t alpha = 1 - $lambda")
-    }
-  }
-
-  test("transposeCsr equals the dense transpose and lists each row's sources in ascending order") {
-    for (gr <- Seq(Fixtures.figure1NoAttrs, Fixtures.mid)) {
-      val p = gr.walkMatrix
-      val pT = Apmi.transposeCsr(p)
-      assert(pT.rows == p.cols && pT.cols == p.rows && pT.nnz == p.nnz)
-      assert((pT.toDense - p.toDense.transpose).maxAbs == 0.0, gr.name)
-      for (j <- 0 until pT.rows) {
-        val srcs = pT.colIdx.slice(pT.rowPtr(j), pT.rowPtr(j + 1)).toSeq
-        assert(srcs == srcs.sorted && srcs.distinct == srcs, s"${gr.name} row $j: $srcs")
-      }
     }
   }
 

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.Fixtures
 import repro.linalg.DenseMatrix
 import repro.linalg.DenseMatrixOps._
+import repro.linalg.DenseMatrixSpec.flatMulT
 
 class ParallelPaneSpec extends AnyFunSuite {
 
@@ -39,8 +40,8 @@ class ParallelPaneSpec extends AnyFunSuite {
   test("SMGreedyInit residuals are exact for its own embeddings") {
     val aff = Apmi.run(g, alpha, t)
     val st = ParallelPane.smGreedyInit(aff.fPrime, aff.bPrime, k, svdIters = 4, nb = 4)
-    assert((st.sf - (st.xf.mulT(st.y) - aff.fPrime)).maxAbs < 1e-8)
-    assert((st.sb - (st.xb.mulT(st.y) - aff.bPrime)).maxAbs < 1e-8)
+    assert((st.sf - (flatMulT(st.xf, st.y) - aff.fPrime)).maxAbs < 1e-8)
+    assert((st.sb - (flatMulT(st.xb, st.y) - aff.bPrime)).maxAbs < 1e-8)
   }
 
   test("Lemma 4.2 direction: SMGreedyInit Y is near-unitary and Xb = B'·Y") {

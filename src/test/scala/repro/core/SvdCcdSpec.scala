@@ -5,6 +5,7 @@ import repro.Fixtures
 import repro.graph.Datasets
 import repro.linalg.DenseMatrix
 import repro.linalg.DenseMatrixOps._
+import repro.linalg.DenseMatrixSpec.flatMulT
 import SvdCcdSpec._
 
 class SvdCcdSpec extends AnyFunSuite {
@@ -14,8 +15,8 @@ class SvdCcdSpec extends AnyFunSuite {
 
   test("greedyInit residuals are exact: Sf = Xf·Yᵀ − F', Sb = Xb·Yᵀ − B'") {
     val st = SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 4)
-    val sfExpected = st.xf.mulT(st.y) - aff.fPrime
-    val sbExpected = st.xb.mulT(st.y) - aff.bPrime
+    val sfExpected = flatMulT(st.xf, st.y) - aff.fPrime
+    val sbExpected = flatMulT(st.xb, st.y) - aff.bPrime
     assert((st.sf - sfExpected).maxAbs < 1e-9)
     assert((st.sb - sbExpected).maxAbs < 1e-9)
   }
@@ -34,15 +35,15 @@ class SvdCcdSpec extends AnyFunSuite {
   test("greedyInit on an exactly rank-k/2 matrix reconstructs it") {
     val u0 = DenseMatrix.randn(40, 3, 1L)
     val v0 = DenseMatrix.randn(10, 3, 2L)
-    val f = u0.mulT(v0)
-    val b = DenseMatrix.randn(40, 3, 3L).mulT(v0)
+    val f = u0 * v0.transpose
+    val b = DenseMatrix.randn(40, 3, 3L) * v0.transpose
     val st = SvdCcd.greedyInit(f, b, 6, svdIters = 5)
     assert(st.sf.maxAbs < 1e-7) // Xf·Yᵀ = F' exactly in the low-rank case
   }
 
   test("randomInit produces exact residuals too") {
     val st = SvdCcd.randomInit(aff.fPrime, aff.bPrime, k)
-    val sfExpected = st.xf.mulT(st.y) - aff.fPrime
+    val sfExpected = flatMulT(st.xf, st.y) - aff.fPrime
     assert((st.sf - sfExpected).maxAbs < 1e-9)
   }
 
@@ -62,8 +63,8 @@ class SvdCcdSpec extends AnyFunSuite {
       SvdCcd.attrSweep(st, 0, aff.fPrime.cols)
     }
     assert(java.util.Arrays.equals(st.f.data, f0.data) && java.util.Arrays.equals(st.b.data, b0.data))
-    assert(java.util.Arrays.equals(st.sf.data, (st.xf.mulT(st.y) - f0).data))
-    assert(java.util.Arrays.equals(st.sb.data, (st.xb.mulT(st.y) - b0).data))
+    assert(java.util.Arrays.equals(st.sf.data, (flatMulT(st.xf, st.y) - f0).data))
+    assert(java.util.Arrays.equals(st.sb.data, (flatMulT(st.xb, st.y) - b0).data))
   }
 
   test("each CCD sweep decreases (never increases) the objective") {
@@ -352,8 +353,8 @@ class SvdCcdSpec extends AnyFunSuite {
   test("objective matches manual Frobenius computation") {
     val e = ParallelPane.psvdccd(SvdCcd.greedyInit(aff.fPrime, aff.bPrime, k, svdIters = 1), iters = 1, nb = 1)
     val o = SvdCcd.objective(aff.fPrime, aff.bPrime, e)
-    val rf = e.xf.mulT(e.y) - aff.fPrime
-    val rb = e.xb.mulT(e.y) - aff.bPrime
+    val rf = flatMulT(e.xf, e.y) - aff.fPrime
+    val rb = flatMulT(e.xb, e.y) - aff.bPrime
     val manual = rf.data.map(x => x * x).sum + rb.data.map(x => x * x).sum
     assert(math.abs(o - manual) < 1e-6 * math.max(1.0, manual))
   }

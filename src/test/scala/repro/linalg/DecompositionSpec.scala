@@ -3,7 +3,9 @@ package repro.linalg
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.PropSupport
+import repro.Fixtures
 import repro.linalg.DenseMatrixOps._
+import SparseMatrixSpec.{rawCsr, scatterTMul}
 
 class DecompositionSpec extends AnyFunSuite with PropSupport {
 
@@ -45,13 +47,13 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
       val q = Qr.cholQr2(a).getOrElse(fail(s"seed $seed: well-conditioned input fell back"))
       assert((q.tMul(q) - DenseMatrix.eye(c)).maxAbs <= 1e-13)
       val h = Qr.thinQ(a)
-      assert((q.mulT(q) - h.mulT(h)).maxAbs <= 1e-12, "projectors onto the two spans differ")
+      assert((q * q.transpose - h * h.transpose).maxAbs <= 1e-12, "projectors onto the two spans differ")
       assert(Qr.orthonormal(a).data.sameElements(q.data))
     }
   }
 
   test("orthonormal falls back to Householder on rank-deficient or tiny-pivot input") {
-    val exact = DenseMatrix.randn(30, 3, 4L).mulT(DenseMatrix.randn(6, 3, 5L)) // 30 × 6, rank 3
+    val exact = DenseMatrix.randn(30, 3, 4L) * DenseMatrix.randn(6, 3, 5L).transpose // 30 × 6, rank 3
     // Column 2 = column 0 + 1e-7·noise: its pivot is positive but ~1e-14 of its squared norm.
     val near = DenseMatrix.randn(30, 3, 6L)
     val noise = DenseMatrix.randn(30, 1, 7L)
@@ -75,7 +77,7 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
       // reconstruct V diag(w) Vᵀ
       val wd = DenseMatrix.zeros(n, n)
       for (i <- 0 until n) wd(i, i) = w(i)
-      val rec = (v * wd).mulT(v)
+      val rec = v * wd * v.transpose
       assert((rec - a).maxAbs < 1e-8)
     }
   }
@@ -100,7 +102,7 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
   test("RandSvd recovers an exactly low-rank matrix") {
     val u0 = DenseMatrix.randn(30, 3, 1L)
     val v0 = DenseMatrix.randn(8, 3, 2L)
-    val a = u0.mulT(v0)
+    val a = u0 * v0.transpose
     val (u, s, v) = RandSvd(a, 3, iters = 4)
     val rec = reconstruct(u, s, v)
     assert((rec - a).maxAbs < 1e-7)
@@ -178,9 +180,27 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
     var termT = x.copy
     for (l <- 0 to t) {
       expectedT = expectedT.zipWith(termT, (e, v) => e + alpha * math.pow(1 - alpha, l) * v)
-      termT = p.tMul(termT)
+      termT = scatterTMul(p, termT)
     }
     assert((op.applyTransposeTo(x) - expectedT).maxAbs < 1e-10)
+  }
+
+  test("PprOp equals the Horner loop over P and the Pᵀ scatter bit for bit") {
+    val alpha = 0.15
+    val ps = Seq(Fixtures.mid.walkMatrix, Fixtures.figure1NoAttrs.walkMatrix) ++
+      (0L until 20L).map { s => val r = new Random(s); val n = r.nextInt(9); rawCsr(n, n, r) }
+    for ((p, s) <- ps.zipWithIndex; t <- Seq(0, 1, 4)) {
+      val x = DenseMatrix.randn(p.rows, 3, s.toLong)
+      def horner(step: DenseMatrix => DenseMatrix): DenseMatrix = {
+        var acc = x.copy
+        for (_ <- 1 to t) acc = x.zipWith(step(acc), (a, b) => a + (1 - alpha) * b)
+        acc.scale(alpha)
+      }
+      val op = new PprOp(p, alpha, t)
+      assert(java.util.Arrays.equals(op.applyTo(x).data, horner(p * _).data), s"P·X, matrix $s, t = $t")
+      assert(java.util.Arrays.equals(op.applyTransposeTo(x).data, horner(scatterTMul(p, _)).data),
+        s"Pᵀ·X, matrix $s, t = $t")
+    }
   }
 
   // -------------------------------------------------------------- Solve
@@ -210,6 +230,6 @@ class DecompositionSpec extends AnyFunSuite with PropSupport {
   private def reconstruct(u: DenseMatrix, s: Array[Double], v: DenseMatrix): DenseMatrix = {
     val us = u.copy
     for (i <- 0 until u.rows; j <- 0 until u.cols) us(i, j) = u(i, j) * s(j)
-    us.mulT(v)
+    us * v.transpose
   }
 }

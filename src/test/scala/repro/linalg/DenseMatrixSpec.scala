@@ -67,12 +67,18 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
     }
   }
 
-  test("mulT equals multiply-by-transpose (property)") {
-    forSeeds(25) { seed =>
-      val (r, k, c) = dims(seed)
-      val a = DenseMatrix.randn(r, k, seed)
-      val b = DenseMatrix.randn(c, k, seed + 1)
-      assert((a.mulT(b) - (a * b.transpose)).maxAbs < 1e-10)
+  test("a * b.transpose equals the mulT loop bit for bit (property)") {
+    // Inner dimension 0 and vector shapes; a third of the entries ±0.0, an
+    // all-zero row in A and in B, and an inner column zero in both.
+    val shapes = (0 until 25).map(dims(_)) ++ Seq((3, 0, 4), (1, 1, 1), (1, 9, 6), (6, 9, 1), (13, 37, 11))
+    for (((r, k, c), s) <- shapes.zipWithIndex) {
+      val rnd = new Random(40L + s)
+      def entry() = rnd.nextInt(3) match { case 0 => if (rnd.nextBoolean()) -0.0 else 0.0; case _ => rnd.nextGaussian() }
+      val a = new DenseMatrix(r, k, Array.fill(r * k)(entry()))
+      val b = new DenseMatrix(c, k, Array.fill(c * k)(entry()))
+      for (j <- 0 until k) { a(r - 1, j) = -0.0; b(0, j) = 0.0 }
+      if (k > 1) { for (i <- 0 until r) a(i, 1) = 0.0; for (i <- 0 until c) b(i, 1) = -0.0 }
+      assert(java.util.Arrays.equals((a * b.transpose).data, flatMulT(a, b).data), s"$r x $k x $c")
     }
   }
 
@@ -198,13 +204,25 @@ class DenseMatrixSpec extends AnyFunSuite with PropSupport {
 object DenseMatrixSpec {
 
   /** The flat i-k-j loops the staged `*` and `tMul` replaced, kept as
-    * oracles (here and in the kernel bench).
+    * oracles (here and in the kernel bench), and the dot-product loop of
+    * the former `mulT`, C = A·Bᵀ, the oracle of `a * b.transpose`.
     */
   def flatMul(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
     val c = DenseMatrix.zeros(a.rows, b.cols)
     for (i <- 0 until a.rows; k <- 0 until a.cols) {
       val aik = a.data(i * a.cols + k)
       if (aik != 0.0) for (j <- 0 until b.cols) c.data(i * b.cols + j) += aik * b.data(k * b.cols + j)
+    }
+    c
+  }
+
+  def flatMulT(a: DenseMatrix, b: DenseMatrix): DenseMatrix = {
+    require(a.cols == b.cols, s"dim mismatch: (${a.rows} x ${a.cols}) * (${b.rows} x ${b.cols})ᵀ")
+    val c = DenseMatrix.zeros(a.rows, b.rows)
+    for (i <- 0 until a.rows; j <- 0 until b.rows) {
+      var s = 0.0
+      for (k <- 0 until a.cols) s += a.data(i * a.cols + k) * b.data(j * b.cols + k)
+      c.data(i * b.rows + j) = s
     }
     c
   }

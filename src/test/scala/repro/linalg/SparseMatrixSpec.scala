@@ -4,7 +4,9 @@ import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 import repro.PropSupport
 import CooOracle.fromTriples
+import repro.Fixtures
 import repro.linalg.DenseMatrixOps._
+import SparseMatrixSpec._
 
 class SparseMatrixSpec extends AnyFunSuite with PropSupport {
 
@@ -81,16 +83,52 @@ class SparseMatrixSpec extends AnyFunSuite with PropSupport {
       val (r, c, entries) = randomCoo(seed)
       val m = fromTriples(r, c, entries)
       val x = DenseMatrix.randn(c, 3, 7L)
-      assert(((m * x) - (m.toDense * x)).maxAbs < 1e-10)
+      assert(((m * x) - (m.toDense * x)).maxAbs == 0.0)
     }
   }
 
-  test("sparse tMul matches dense transpose multiply (property)") {
+  test("sparse transpose * matches dense transpose multiply (property)") {
     forSeeds(25) { seed =>
       val (r, c, entries) = randomCoo(seed)
       val m = fromTriples(r, c, entries)
       val x = DenseMatrix.randn(r, 3, 8L)
-      assert((m.tMul(x) - (m.toDense.transpose * x)).maxAbs < 1e-10)
+      assert(((m.transpose * x) - (m.toDense.transpose * x)).maxAbs == 0.0)
+    }
+  }
+
+  test("transpose * equals the scatter loop bit for bit (property)") {
+    forSeeds(60) { seed =>
+      val r = new Random(seed)
+      val m = rawCsr(r.nextInt(9), r.nextInt(9), r)
+      val x = new DenseMatrix(m.rows, 3, Array.fill(m.rows * 3)(
+        if (r.nextInt(4) == 0) -0.0 else r.nextGaussian()))
+      assert(java.util.Arrays.equals((m.transpose * x).data, scatterTMul(m, x).data), s"seed $seed")
+      assert(java.util.Arrays.equals(m.applyTransposeTo(x).data, scatterTMul(m, x).data), s"seed $seed")
+    }
+  }
+
+  test("transpose twice returns the same CSR arrays") {
+    // Holds whenever each row lists its columns in ascending order.
+    val ms = (0L until 40L).map { s => val r = new Random(s); rawCsr(r.nextInt(9), r.nextInt(9), r) } ++
+      Seq(Fixtures.figure1NoAttrs.walkMatrix, Fixtures.mid.walkMatrix, Fixtures.mid.attrColNorm)
+    for (m <- ms) {
+      val tt = m.transpose.transpose
+      assert(tt.rows == m.rows && tt.cols == m.cols)
+      assert(java.util.Arrays.equals(tt.rowPtr, m.rowPtr) && java.util.Arrays.equals(tt.colIdx, m.colIdx) &&
+        java.util.Arrays.equals(tt.values, m.values), s"${m.rows} x ${m.cols}")
+    }
+  }
+
+  test("transpose equals the dense transpose, sources ascending") {
+    for (gr <- Seq(Fixtures.figure1NoAttrs, Fixtures.mid)) {
+      val p = gr.walkMatrix
+      val pT = p.transpose
+      assert(pT.rows == p.cols && pT.cols == p.rows && pT.nnz == p.nnz)
+      assert((pT.toDense - p.toDense.transpose).maxAbs == 0.0, gr.name)
+      for (j <- 0 until pT.rows) {
+        val srcs = pT.colIdx.slice(pT.rowPtr(j), pT.rowPtr(j + 1)).toSeq
+        assert(srcs == srcs.sorted && srcs.distinct == srcs, s"${gr.name} row $j: $srcs")
+      }
     }
   }
 
@@ -131,5 +169,38 @@ class SparseMatrixSpec extends AnyFunSuite with PropSupport {
     val m = fromTriples(3, 4, Seq.empty)
     assert(m.nnz == 0)
     assert((m * DenseMatrix.randn(4, 2, 1L)).maxAbs == 0.0)
+  }
+}
+
+object SparseMatrixSpec {
+
+  /** A CSR matrix built directly, not through `fromCoo`: each row lists
+    * its columns in ascending order, some repeated, with stored 0.0 and
+    * −0.0 values; about a third of the rows are empty, and so are many
+    * columns.
+    */
+  def rawCsr(rows: Int, cols: Int, r: Random): SparseMatrix = {
+    val rowPtr = new Array[Int](rows + 1)
+    val entries = (0 until rows).map { i =>
+      val k = if (cols == 0 || r.nextInt(3) == 0) 0 else r.nextInt(6) + 1
+      val row = List.fill(k)(r.nextInt(cols)).sorted.map { j =>
+        (j, r.nextInt(5) match { case 0 => 0.0; case 1 => -0.0; case _ => r.nextGaussian() })
+      }
+      rowPtr(i + 1) = rowPtr(i) + k
+      row
+    }.flatten
+    new SparseMatrix(rows, cols, rowPtr, entries.map(_._1).toArray, entries.map(_._2).toArray)
+  }
+
+  /** The scatter loop of the former `tMul`, C = Mᵀ·B, kept as the oracle of
+    * `transpose *`: C[colIdx(p)] += values(p)·B[i] over the rows i and
+    * their entries p in order.
+    */
+  def scatterTMul(m: SparseMatrix, b: DenseMatrix): DenseMatrix = {
+    require(m.rows == b.rows, s"dim mismatch: (${m.rows} x ${m.cols})ᵀ * (${b.rows} x ${b.cols})")
+    val c = DenseMatrix.zeros(m.cols, b.cols)
+    for (i <- 0 until m.rows; p <- m.rowPtr(i) until m.rowPtr(i + 1); j <- 0 until b.cols)
+      c.data(m.colIdx(p) * b.cols + j) += m.values(p) * b.data(i * b.cols + j)
+    c
   }
 }
